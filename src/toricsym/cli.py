@@ -1,8 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 invariant
-violation.  `TORICSYM_THREADS` caps internal parallelism of the lattice
-point enumeration.
+violation.
 """
 
 import argparse

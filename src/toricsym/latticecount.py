@@ -6,9 +6,12 @@ dilation factor k), pruned per level, then scanned depth-first with exact
 integer interval bounds.  Counting and coordinate sums close the innermost
 level in constant time per prefix, which is what makes dilations of
 7-dimensional polytopes tractable.
+
+One plan of P serves every dilation.  Its counts give the Ehrhart
+polynomial, and its coordinate sums, which are polynomials in k as well
+(weighted Ehrhart theory), give the barycenter rational function.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -183,15 +186,22 @@ def _plan_rows_for_polytope(p):
 
 @lru_cache(maxsize=256)
 def plan_for_polytope(p):
-    """Build (and cache) the enumeration plan whose k-th evaluation is kP."""
-    return build_plan(p.dim, _plan_rows_for_polytope(p))
+    """Build (and cache) the enumeration plan whose k-th evaluation is kP.
 
-
-def _threads():
+    Imbert's rule in `build_plan` counts only the variables eliminated
+    explicitly, so on some bounded systems it drops every row of one sign
+    at a level and reports the variable unbounded.  P is bounded, so the
+    plan is then rebuilt once with the bounding box of kP added.
+    """
+    rows = _plan_rows_for_polytope(p)
     try:
-        return max(1, int(os.environ.get("TORICSYM_THREADS", "1")))
-    except ValueError:
-        return 1
+        return build_plan(p.dim, rows)
+    except UnboundedPolytopeError:
+        for i in range(p.dim):
+            unit = tuple(1 if j == i else 0 for j in range(p.dim))
+            rows.append((unit, 0, max(v[i] for v in p.vertices)))
+            rows.append((tuple(-x for x in unit), 0, -min(v[i] for v in p.vertices)))
+        return build_plan(p.dim, rows)
 
 
 def _scan_setup(plan, k):
@@ -236,85 +246,60 @@ def plan_count_and_sum(plan, k):
     """(#points, coordinate sums) of the k-th dilation, exactly.
 
     The innermost coordinate is closed in constant time per prefix via an
-    arithmetic series.  With TORICSYM_THREADS > 1 the outermost range is
-    split into slabs merged in order; integer sums make this deterministic.
+    arithmetic series.
     """
     n = plan.dim
     if not plan.feasible_constants(k):
         return 0, (0,) * n
-    divisors0, res0, _ = _scan_setup(plan, k)
-    lo0, hi0 = _level_bounds(divisors0[0], res0[0])
+    divisors, res, updates = _scan_setup(plan, k)
+    lo0, hi0 = _level_bounds(divisors[0], res[0])
     if lo0 is None or hi0 is None or lo0 > hi0:
         return 0, (0,) * n
     if n == 1:
         cnt = hi0 - lo0 + 1
         return cnt, ((hi0 + lo0) * cnt // 2,)
 
-    nthreads = _threads()
-    ranges = [(lo0, hi0)]
-    if nthreads > 1 and hi0 > lo0:
-        width = hi0 - lo0 + 1
-        step = -(-width // nthreads)
-        ranges = [
-            (lo0 + i * step, min(hi0, lo0 + (i + 1) * step - 1))
-            for i in range(nthreads)
-            if lo0 + i * step <= hi0
-        ]
+    count = 0
+    sums = [0] * n
+    prefix = [0] * (n - 1)
+    last = n - 1
 
-    def scan(r0, r1):
-        divisors, res, updates = _scan_setup(plan, k)
-        count = 0
-        sums = [0] * n
-        prefix = [0] * (n - 1)
-        last = n - 1
-
-        def rec(j):
-            nonlocal count
-            lo, hi = _level_bounds(divisors[j], res[j])
-            if lo is None or hi is None or lo > hi:
-                return
-            if j == last:
-                c = hi - lo + 1
-                count += c
-                sums[j] += (hi + lo) * c // 2
-                for i in range(last):
-                    sums[i] += prefix[i] * c
-                return
-            ups = updates[j]
+    def rec(j):
+        nonlocal count
+        lo, hi = _level_bounds(divisors[j], res[j])
+        if lo is None or hi is None or lo > hi:
+            return
+        if j == last:
+            c = hi - lo + 1
+            count += c
+            sums[j] += (hi + lo) * c // 2
+            for i in range(last):
+                sums[i] += prefix[i] * c
+            return
+        ups = updates[j]
+        for jj, r, a in ups:
+            res[jj][r] -= a * lo
+        prefix[j] = lo
+        rec(j + 1)
+        x = lo
+        while x < hi:
+            x += 1
             for jj, r, a in ups:
-                res[jj][r] -= a * lo
-            prefix[j] = lo
+                res[jj][r] -= a
+            prefix[j] = x
             rec(j + 1)
-            x = lo
-            while x < hi:
-                x += 1
-                for jj, r, a in ups:
-                    res[jj][r] -= a
-                prefix[j] = x
-                rec(j + 1)
-            for jj, r, a in ups:
-                res[jj][r] += a * hi
+        for jj, r, a in ups:
+            res[jj][r] += a * hi
 
-        ups0 = updates[0]
-        for x0 in range(r0, r1 + 1):
-            for jj, r, a in ups0:
-                res[jj][r] -= a * x0
-            prefix[0] = x0
-            rec(1)
-            for jj, r, a in ups0:
-                res[jj][r] += a * x0
-        return count, sums
-
-    if len(ranges) == 1:
-        count, sums = scan(*ranges[0])
-        return count, tuple(sums)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=len(ranges)) as ex:
-        parts = list(ex.map(lambda r: scan(*r), ranges))
-    count = sum(c for c, _ in parts)
-    sums = tuple(sum(s[i] for _, s in parts) for i in range(n))
-    return count, sums
+    ups0 = updates[0]
+    for x0 in range(lo0, hi0 + 1):
+        for jj, r, a in ups0:
+            res[jj][r] -= a * x0
+        prefix[0] = x0
+        rec(1)
+        for jj, r, a in ups0:
+            res[jj][r] += a * x0
+    return count, tuple(sums)
 
 
 def plan_points(plan, k):
@@ -423,15 +408,6 @@ def ehrhart_polynomial(p):
     return poly
 
 
-def _lifted_plan(p, i, c_i):
-    """Plan for P_i = {(u, h) : u in P, 0 <= h <= u_i + C_i} in dim n+1."""
-    n = p.dim
-    rows = [(tuple(a) + (0,), 0, rhs) for a, rhs in p.inequalities]
-    rows.append(((0,) * n + (-1,), 0, 0))  # h >= 0
-    rows.append((tuple(-1 if j == i else 0 for j in range(n)) + (1,), 0, c_i))
-    return build_plan(n + 1, rows)
-
-
 @dataclass(frozen=True)
 class BarycenterRationalFunction:
     """Bc_{k,i}(P) = numerators[i](k) / ehrhart(k), exactly, for all k >= 1."""
@@ -459,11 +435,13 @@ class BarycenterRationalFunction:
 def barycenter_rational_function(p):
     """Closed form for every quantized barycenter at once.
 
-    For each coordinate i, lift P to P_i by a height between 0 and
-    u_i + C_i (C_i the smallest nonnegative integer making that height
-    nonnegative on P), interpolate the lifted counting polynomial, and
-    divide out one factor of k from the difference.  The result is checked
-    against a directly enumerated barycenter at k = 1.
+    Beside the count, the scan of P's plan returns the coordinate sums
+    S_i(k) over the lattice points of kP.  For a lattice polytope each S_i
+    is a polynomial of degree at most n+1 with S_i(0) = 0 (weighted Ehrhart
+    theory; Brion-Vergne 1997), so it is interpolated from k = 0..n+1, and
+    Bc_{k,i} = (S_i(k)/k) / E(k) with E the Ehrhart polynomial.  The
+    result is checked against a directly enumerated barycenter at k = n+2,
+    which is not a sample.
     """
     if not is_lattice_polytope(p):
         raise NonLatticePolytopeError(
@@ -471,30 +449,16 @@ def barycenter_rational_function(p):
         )
     n = p.dim
     e_p = ehrhart_polynomial(p)
+    plan = plan_for_polytope(p)
+    sums = [plan_count_and_sum(plan, k)[1] for k in range(1, n + 2)]
     numerators = []
     for i in range(n):
-        m = min(v[i] for v in p.vertices)
-        c_i = max(0, int(-m))
-        lifted = _lifted_plan(p, i, c_i)
-        samples = [
-            (k, plan_count_and_sum(lifted, k)[0] if k else 1) for k in range(n + 2)
-        ]
-        e_pi = _interpolate(samples)
-        # Q_i(k) = E_{P_i}(k) - (C_i k + 1) E_P(k); degree <= n+1, Q_i(0) = 0.
-        q = [Fraction(0)] * (n + 2)
-        for d, c in enumerate(e_pi):
-            q[d] += c
-        for d, c in enumerate(e_p.coefficients):
-            q[d] -= c
-            q[d + 1] -= c_i * c
-        if q[0] != 0:
-            raise InvariantViolation("lifted count difference has nonzero constant")
-        numerators.append(tuple(q[1:]))
+        q = _interpolate([(0, 0)] + [(k, s[i]) for k, s in enumerate(sums, 1)])
+        numerators.append(q[1:])  # S_i(k)/k: q[0] = S_i(0) = 0
     brf = BarycenterRationalFunction(
         numerators=tuple(numerators), ehrhart=e_p
     )
-    k1 = quantized_barycenter(p, 1)
-    if brf.barycenter_at(1) != k1:
+    if brf.barycenter_at(n + 2) != quantized_barycenter(p, n + 2):
         raise InvariantViolation("rational barycenter disagrees with direct count")
     return brf
 

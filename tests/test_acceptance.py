@@ -146,7 +146,7 @@ def _random_lattice_polytopes(rng, count):
     Every fifth polytope is centrally symmetrized so the vanishing branch
     of the rigidity check is actually exercised; the symmetric
     4-dimensional ones use a smaller coordinate range to keep their facet
-    systems (and the five lifted counting problems each) small.
+    systems and the scans of their dilations small.
     """
     out = []
     while len(out) < count:

@@ -4,13 +4,18 @@ from itertools import product
 
 import pytest
 
+from test_acceptance import _random_lattice_polytopes
+from toricsym.datasets import load_bundled
 from toricsym.errors import NonLatticePolytopeError, ValidationError
 from toricsym.fan import polytope_from_fan
 from toricsym.latticecount import (
+    _interpolate,
     barycenter_rational_function,
+    build_plan,
     count_lattice_points,
     ehrhart_polynomial,
     enumerate_lattice_points,
+    plan_count_and_sum,
     quantized_barycenter,
     rigidity_verdict,
 )
@@ -34,6 +39,35 @@ def box_oracle(p, k=1):
         if contains(q, pt):
             out.append(pt)
     return sorted(out)
+
+
+def lifted_numerators(p):
+    """Barycenter numerators from counts alone, as an independent oracle.
+
+    For each coordinate i, lift P to P_i = {(u, h) : u in P,
+    0 <= h <= u_i + C_i} in dimension n+1, with C_i the least nonnegative
+    integer that makes the height nonnegative on P.  The counting
+    polynomial of P_i is S_i(k) + (C_i k + 1) E(k), so interpolating it and
+    subtracting (C_i k + 1) E(k) gives S_i, whose constant term is 0.
+    """
+    n = p.dim
+    e = ehrhart_polynomial(p).coefficients
+    out = []
+    for i in range(n):
+        c_i = max(0, int(-min(v[i] for v in p.vertices)))
+        rows = [(tuple(a) + (0,), 0, rhs) for a, rhs in p.inequalities]
+        rows.append(((0,) * n + (-1,), 0, 0))  # h >= 0
+        rows.append((tuple(-1 if j == i else 0 for j in range(n)) + (1,), 0, c_i))
+        lifted = build_plan(n + 1, rows)
+        q = list(_interpolate(
+            [(k, plan_count_and_sum(lifted, k)[0] if k else 1) for k in range(n + 2)]
+        ))
+        for d, c in enumerate(e):
+            q[d] -= c
+            q[d + 1] -= c_i * c
+        assert q[0] == 0
+        out.append(tuple(q[1:]))
+    return tuple(out)
 
 
 def test_enumerate_square():
@@ -165,6 +199,73 @@ def test_numerator_shape(dp1_fan, dp2_fan):
             assert len(coeffs) == p.dim + 1
 
 
+def test_numerators_match_lifted_oracle(dp1_fan, dp2_fan, fano52_fan):
+    for f in (dp1_fan, dp2_fan, fano52_fan):
+        p = polytope_from_fan(f)
+        assert barycenter_rational_function(p).numerators == lifted_numerators(p)
+
+
+def test_numerators_match_lifted_oracle_zero_branch():
+    # The zero-branch polytopes among the first 20 of criterion 4, among
+    # them a centrally symmetric 4-polytope with 12 vertices.
+    zero_branch = []
+    for p in _random_lattice_polytopes(random.Random(20250801), 20):
+        n = p.dim
+        if all(quantized_barycenter(p, k) == (0,) * n for k in range(1, n + 2)):
+            zero_branch.append(p)
+    assert sorted(len(p.vertices) for p in zero_branch if p.dim == 4) == [12]
+    assert len(zero_branch) == 4
+    for p in zero_branch:
+        brf = barycenter_rational_function(p)
+        assert brf.is_identically_zero()
+        assert brf.numerators == lifted_numerators(p)
+
+
+def coordinate_sums(brf, k):
+    """S_i(k) = k E(k) Bc_{k,i}, evaluated from the closed form at any k."""
+    return tuple(k * brf.ehrhart(k) * b for b in brf.barycenter_at(k))
+
+
+def test_reciprocity_for_reflexive_polytopes(dp1_fan, fano52_fan):
+    # Ehrhart-Macdonald for reflexive P: int((k+1)P) and kP have the same
+    # lattice points, so E(-k-1) = (-1)^n E(k) and S_i(-k-1) = (-1)^(n+1)
+    # S_i(k) for the coordinate sums S_i(k) = k E(k) Bc_{k,i}.
+    for f in (dp1_fan, fano52_fan, load_bundled("futaki_1_2")):
+        p = polytope_from_fan(f)
+        n = p.dim
+        brf = barycenter_rational_function(p)
+        for k in range(4):
+            assert brf.ehrhart(-k - 1) == (-1) ** n * brf.ehrhart(k)
+            s_k, s_neg = coordinate_sums(brf, k), coordinate_sums(brf, -k - 1)
+            assert s_neg == tuple((-1) ** (n + 1) * s for s in s_k)
+
+
+def test_negated_polytope_negates_numerators(dp1_fan, dp2_fan, fano52_fan):
+    # Bc(-P) = -Bc(P) for every k, so the numerators change sign and the
+    # Ehrhart polynomial is unchanged.
+    for f in (dp1_fan, dp2_fan, fano52_fan):
+        p = polytope_from_fan(f)
+        neg = polytope_from_vertices([tuple(-x for x in v) for v in p.vertices])
+        brf, brf_neg = barycenter_rational_function(p), barycenter_rational_function(neg)
+        assert not brf.is_identically_zero()
+        assert brf_neg.ehrhart == brf.ehrhart
+        assert brf_neg.numerators == tuple(
+            tuple(-c for c in coeffs) for coeffs in brf.numerators
+        )
+
+
+def test_plan_for_bounded_system_imbert_drops():
+    # Imbert's rule drops every row of one sign on x_0 for this bounded
+    # 4-simplex; the plan falls back to adding the bounding box.
+    p = polytope_from_vertices(
+        [(-1, -2, -4, -4), (1, -3, 0, 1), (3, -4, 0, 3), (4, -4, 0, 2), (4, -4, 2, -4)]
+    )
+    assert count_lattice_points(p, 1) == 6
+    assert list(enumerate_lattice_points(p)) == box_oracle(p)
+    poly = ehrhart_polynomial(p)  # asserts a0 = 1 and a_n = volume
+    assert poly(2) == len(box_oracle(p, 2))
+
+
 def test_rigidity_square():
     sq = polytope_from_vertices([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     verdict = rigidity_verdict(sq, [1, 2, 3])
@@ -208,15 +309,3 @@ def test_dilation_consistency(dp2_fan):
     p = polytope_from_fan(dp2_fan)
     for k in (1, 2, 3, 4):
         assert count_lattice_points(p, k) == len(box_oracle(p, k))
-
-
-def test_thread_count_does_not_change_results(fano52_fan, monkeypatch):
-    from toricsym.latticecount import plan_count_and_sum, plan_for_polytope
-
-    p = polytope_from_fan(fano52_fan)
-    plan = plan_for_polytope(p)
-    monkeypatch.delenv("TORICSYM_THREADS", raising=False)
-    base = [plan_count_and_sum(plan, k) for k in (1, 2, 3)]
-    for threads in ("2", "4"):
-        monkeypatch.setenv("TORICSYM_THREADS", threads)
-        assert [plan_count_and_sum(plan, k) for k in (1, 2, 3)] == base
