@@ -173,12 +173,8 @@ class FanValidationReport:
         return self.ok
 
 
-def validate_fan(f):
-    """Check ray primitivity, strong convexity, and the two fan axioms.
-
-    Failures are reported, not raised; `problems` lists human-readable
-    reasons including the offending cone pairs.
-    """
+def ray_problems(f):
+    """Reasons why some ray of `f` is not primitive or is a duplicate."""
     problems = []
     seen = set()
     for i, r in enumerate(f.rays):
@@ -187,6 +183,16 @@ def validate_fan(f):
         if r in seen:
             problems.append(f"ray {i} {r} is a duplicate")
         seen.add(r)
+    return problems
+
+
+def validate_fan(f):
+    """Check ray primitivity, strong convexity, and the two fan axioms.
+
+    Failures are reported, not raised; `problems` lists human-readable
+    reasons including the offending cone pairs.
+    """
+    problems = ray_problems(f)
     for ci, cone in enumerate(f.max_cones):
         gens = [f.rays[i] for i in cone]
         if not _is_strongly_convex(gens, f.dim):

@@ -18,7 +18,7 @@ Polytope file:
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
-from .fan import Fan, face_fan_from_polytope, validate_fan
+from .fan import Fan, face_fan_from_polytope, ray_problems, validate_fan
 from .polytope import polytope_from_vertices
 
 
@@ -47,7 +47,11 @@ def _parse_fraction(tok, lineno):
 
 
 def parse_fan_file(path):
-    """Parse and validate a fan file; cones default to the face fan."""
+    """Parse and validate a fan file; cones default to the face fan.
+
+    Explicit cones get the full `validate_fan` check.  A face fan is a fan
+    by construction, so only its rays are checked.
+    """
     rows = _tokens(path)
     pos = 0
 
@@ -92,12 +96,16 @@ def parse_fan_file(path):
         raise ParseError("trailing content", rows[pos][0])
 
     if cones is None:
+        # face_fan_from_polytope has checked that every ray is a vertex of
+        # the hull and that 0 is interior, so the cones over the facets are
+        # strongly convex and meet in common faces: only the rays are left.
         fan = face_fan_from_polytope(rays)
+        problems = ray_problems(fan)
     else:
         fan = Fan.make(dim, rays, cones)
-    report = validate_fan(fan)
-    if not report.ok:
-        raise ValidationError("; ".join(report.problems))
+        problems = validate_fan(fan).problems
+    if problems:
+        raise ValidationError("; ".join(problems))
     return fan
 
 

@@ -7,6 +7,7 @@ from toricsym import report as rp
 from toricsym.cli import main
 from toricsym.datasets import BUNDLED, bundled_path, load_bundled, nill_paffenholz
 from toricsym.errors import ParseError, ValidationError
+from toricsym.fan import validate_fan
 from toricsym.fileio import parse_fan_file, parse_polytope_file
 
 
@@ -36,6 +37,19 @@ def test_parse_rejects_nonprimitive_ray(tmp_path):
     bad = tmp_path / "bad.fan"
     bad.write_text("dim 2\nrays 3\n2 0\n0 1\n-1 -1\n")
     with pytest.raises(ValidationError):
+        parse_fan_file(str(bad))
+
+
+def test_bundled_face_fans_pass_the_pairwise_check():
+    # Parsing skips the cone-pair check for face fans; it stays the oracle.
+    for name in BUNDLED:
+        assert validate_fan(load_bundled(name)).ok, name
+
+
+def test_parse_rejects_explicit_cones_without_common_face(tmp_path):
+    bad = tmp_path / "bad.fan"
+    bad.write_text("dim 2\nrays 4\n1 0\n0 1\n1 2\n2 1\ncones 2\n0 1\n2 3\n")
+    with pytest.raises(ValidationError, match="common face"):
         parse_fan_file(str(bad))
 
 
