@@ -12,17 +12,10 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import UnboundedPolytopeError, ValidationError
-from .linalg import (
-    det,
-    dot,
-    gcd_vector,
-    kernel_basis,
-    primitive_vector,
-    rank,
-    vec_scale,
-)
+from .linalg import det, dot, gcd_vector, kernel_basis, rank, vec_scale
 from .polytope import (
     HPolytope,
+    extreme_rays,
     is_lattice_polytope,
     polytope_from_vertices,
     vertices_from_inequalities,
@@ -91,27 +84,11 @@ def cone_facet_normals(rays, n):
     """H-description of cone(rays) inside its linear span.
 
     Returns (equations, inequalities): the cone is {x : eq(x) = 0, ineq(x) >= 0}.
+    The inequalities are the extreme rays of the dual cone within the span,
+    {u : eq(u) = 0, <u, r> >= 0 for every generator r}.
     """
     eqs = cone_span_equations(rays)
-    span_dim = n - len(eqs)
-    if span_dim == 0:
-        return eqs, ()
-    ineqs = {}
-    if span_dim == 1:
-        r = rays[0]
-        ineqs[primitive_vector(r)] = True
-        return eqs, tuple(ineqs)
-    for subset in combinations(rays, span_dim - 1):
-        kb = kernel_basis(tuple(subset) + tuple(eqs))
-        if len(kb) != 1:
-            continue
-        u = kb[0]
-        vals = [dot(u, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            ineqs[u] = True
-        elif all(v <= 0 for v in vals):
-            ineqs[vec_scale(-1, u)] = True
-    return eqs, tuple(ineqs)
+    return eqs, extreme_rays(eqs, rays, n)
 
 
 def cone_contains(rays, n, x):
@@ -119,49 +96,15 @@ def cone_contains(rays, n, x):
     return all(dot(e, x) == 0 for e in eqs) and all(dot(u, x) >= 0 for u in ineqs)
 
 
-def cone_extreme_rays(eqs, ineqs, n):
-    """Primitive extreme rays of the pointed cone {eq = 0, ineq >= 0}."""
-    span_dim = n - rank(eqs) if eqs else n
-    if span_dim == 0:
-        return ()
-    out = {}
-    if span_dim == 1:
-        kb = kernel_basis(eqs) if eqs else ((1,),) if n == 1 else kernel_basis(((0,) * n,))
-        for d in kb:
-            for cand in (d, vec_scale(-1, d)):
-                if all(dot(u, cand) >= 0 for u in ineqs):
-                    out[primitive_vector(cand)] = True
-        return tuple(out)
-    for subset in combinations(ineqs, span_dim - 1):
-        kb = kernel_basis(tuple(subset) + tuple(eqs))
-        if len(kb) != 1:
-            continue
-        d = kb[0]
-        for cand in (d, vec_scale(-1, d)):
-            if all(dot(u, cand) >= 0 for u in ineqs):
-                out[primitive_vector(cand)] = True
-    return tuple(out)
-
-
 def _is_strongly_convex(rays, n):
-    """cone(rays) is strongly convex iff no nontrivial nonnegative
-    combination of generators vanishes.
-
-    A minimal set supporting a positive dependency is a linear circuit, so
-    scanning circuits of size <= n+1 for a same-sign kernel vector is a
-    complete test.
+    """cone(rays) contains no line exactly when its dual cone is
+    full-dimensional in the span, that is, when the span equations and the
+    facet normals together have rank n.
     """
     if not rays:
         return True
-    for size in range(2, min(len(rays), n + 1) + 1):
-        for subset in combinations(rays, size):
-            kb = kernel_basis(tuple(zip(*subset)))
-            if len(kb) != 1:
-                continue
-            v = kb[0]
-            if all(a >= 0 for a in v) or all(a <= 0 for a in v):
-                return False
-    return True
+    eqs, ineqs = cone_facet_normals(rays, n)
+    return rank(eqs + ineqs) == n
 
 
 @dataclass(frozen=True)
@@ -216,7 +159,7 @@ def _intersection_is_common_face(f, hreps, ci, cj):
     eqs_j, ineqs_j = hreps[cj]
     inter_eqs = tuple(eqs_i) + tuple(eqs_j)
     inter_ineqs = tuple(ineqs_i) + tuple(ineqs_j)
-    rays_f = cone_extreme_rays(inter_eqs, inter_ineqs, n)
+    rays_f = extreme_rays(inter_eqs, inter_ineqs, n)
     for eqs, ineqs, cone in (
         (eqs_i, ineqs_i, ci),
         (eqs_j, ineqs_j, cj),
@@ -224,7 +167,7 @@ def _intersection_is_common_face(f, hreps, ci, cj):
         # Minimal face of the cone containing rays_f: tighten every facet
         # normal that vanishes on all of them.
         zero = [u for u in ineqs if all(dot(u, r) == 0 for r in rays_f)]
-        face_rays = cone_extreme_rays(
+        face_rays = extreme_rays(
             tuple(eqs) + tuple(zero),
             tuple(u for u in ineqs if u not in zero),
             n,

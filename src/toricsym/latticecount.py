@@ -384,6 +384,20 @@ def _interpolate(samples):
     return tuple(sol)
 
 
+def _ehrhart_from_counts(p, counts):
+    """The polynomial through counts[k] = #(kP cap M), k = 0..n.
+
+    The forced values a0 = 1 and a_n = vol(P) are asserted.
+    """
+    poly = EhrhartPolynomial(coefficients=_interpolate(list(enumerate(counts))))
+    if poly.coefficients[0] != 1:
+        raise InvariantViolation("Ehrhart constant term is not 1")
+    vol, _ = volume_and_barycenter(p)
+    if poly.coefficients[-1] != vol:
+        raise InvariantViolation("Ehrhart leading coefficient differs from volume")
+    return poly
+
+
 def ehrhart_polynomial(p):
     """Interpolate #(kP cap M) from exact counts at k = 0..n.
 
@@ -395,17 +409,10 @@ def ehrhart_polynomial(p):
         raise NonLatticePolytopeError(
             "Ehrhart polynomial requires a lattice polytope"
         )
-    n = p.dim
     plan = plan_for_polytope(p)
-    samples = [(k, plan_count_and_sum(plan, k)[0] if k else 1) for k in range(n + 1)]
-    coeffs = _interpolate(samples)
-    poly = EhrhartPolynomial(coefficients=coeffs)
-    if poly.coefficients[0] != 1:
-        raise InvariantViolation("Ehrhart constant term is not 1")
-    vol, _ = volume_and_barycenter(p)
-    if poly.coefficients[-1] != vol:
-        raise InvariantViolation("Ehrhart leading coefficient differs from volume")
-    return poly
+    return _ehrhart_from_counts(
+        p, [1] + [plan_count_and_sum(plan, k)[0] for k in range(1, p.dim + 1)]
+    )
 
 
 @dataclass(frozen=True)
@@ -439,18 +446,22 @@ def barycenter_rational_function(p):
     S_i(k) over the lattice points of kP.  For a lattice polytope each S_i
     is a polynomial of degree at most n+1 with S_i(0) = 0 (weighted Ehrhart
     theory; Brion-Vergne 1997), so it is interpolated from k = 0..n+1, and
-    Bc_{k,i} = (S_i(k)/k) / E(k) with E the Ehrhart polynomial.  The
-    result is checked against a directly enumerated barycenter at k = n+2,
-    which is not a sample.
+    Bc_{k,i} = (S_i(k)/k) / E(k) with E the Ehrhart polynomial.  The same
+    scan of k = 1..n+1 gives the counts: E is interpolated from k = 0..n
+    and checked against the count at k = n+1.  The result is checked
+    against a directly enumerated barycenter at k = n+2, which is not a
+    sample.
     """
     if not is_lattice_polytope(p):
         raise NonLatticePolytopeError(
             "barycenter rational function requires a lattice polytope"
         )
     n = p.dim
-    e_p = ehrhart_polynomial(p)
     plan = plan_for_polytope(p)
-    sums = [plan_count_and_sum(plan, k)[1] for k in range(1, n + 2)]
+    counts, sums = zip(*(plan_count_and_sum(plan, k) for k in range(1, n + 2)))
+    e_p = _ehrhart_from_counts(p, (1,) + counts[:n])
+    if e_p(n + 1) != counts[n]:
+        raise InvariantViolation("Ehrhart polynomial disagrees with the count at n+1")
     numerators = []
     for i in range(n):
         q = _interpolate([(0, 0)] + [(k, s[i]) for k, s in enumerate(sums, 1)])

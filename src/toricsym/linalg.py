@@ -57,7 +57,7 @@ def primitive_vector(v):
     """
     den = 1
     for e in v:
-        den = den * Fraction(e).denominator // gcd(den, Fraction(e).denominator)
+        den = den * e.denominator // gcd(den, e.denominator)
     w = tuple(int(e * den) for e in v)
     g = gcd_vector(w)
     if g == 0:
@@ -191,31 +191,6 @@ def solve_rational(a, b):
                 f = aug[i][k]
                 aug[i] = [e - f * p for e, p in zip(aug[i], aug[k])]
     return tuple(r[n] for r in aug)
-
-
-def solve_integer_cramer(a, b):
-    """Cramer solve of a square integer system with rational rhs.
-
-    Much faster than Fraction elimination in hot loops: one Bareiss
-    determinant to reject singular systems, then one per coordinate.
-    Returns None when the matrix is singular.
-    """
-    n = len(a)
-    d = det(a)
-    if d == 0:
-        return None
-    den = 1
-    for x in b:
-        xb = Fraction(x).denominator
-        den = den * xb // gcd(den, xb)
-    bi = [int(Fraction(x) * den) for x in b]
-    sol = []
-    for j in range(n):
-        mat = tuple(
-            tuple(bi[i] if c == j else a[i][c] for c in range(n)) for i in range(n)
-        )
-        sol.append(Fraction(det(mat), d * den))
-    return tuple(sol)
 
 
 def invert_rational(a):

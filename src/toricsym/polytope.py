@@ -9,18 +9,19 @@ table.  All coordinates are Fractions; every computation is exact.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .errors import UnboundedPolytopeError, ValidationError
 from .linalg import (
     det,
     dot,
+    gcd_vector,
+    identity,
     kernel_basis,
     primitive_vector,
     rank,
-    solve_integer_cramer,
     vec_scale,
+    vec_sub,
 )
 
 
@@ -79,48 +80,105 @@ class Polytope:
         return self.h.inequalities
 
 
-def _recession_is_trivial(normals, n):
-    """True iff {d : <d, normal> <= 0 for all normals} = {0}."""
-    if rank(normals) < n:
-        return False
-    if n == 1:
-        return any(a[0] > 0 for a in normals) and any(a[0] < 0 for a in normals)
-    for subset in combinations(normals, n - 1):
-        kb = kernel_basis(subset)
-        if len(kb) != 1:
+def extreme_rays(eqs, ineqs, n):
+    """Primitive extreme rays of the pointed cone {x : eqs.x = 0, ineqs.x >= 0}.
+
+    Integer double description (Motzkin et al. 1953; Fukuda and Prodon,
+    "Double description method revisited", 1996).  In a basis of the
+    solutions of `eqs` it starts from the simplicial cone on d independent
+    rows, then adds the other rows one at a time.  A ray on the positive
+    side of the new row and one on its negative side are combined only
+    when they are adjacent: their common zero set has at least d-2 rows
+    and no third ray vanishes on all of it.  Every new ray is made
+    primitive.  The rays come back sorted; ValueError means the cone is
+    not pointed.
+    """
+    basis = kernel_basis(eqs) if eqs else identity(n)
+    d = len(basis)
+    if d == 0:
+        return ()
+    rows = [tuple(dot(u, b) for b in basis) for u in ineqs]
+    rows = [r for r in rows if any(r)]
+    start, echelon = [], []
+    for i, row in enumerate(rows):
+        for c, e in echelon:
+            if row[c]:
+                row = tuple(e[c] * x - row[c] * y for x, y in zip(row, e))
+        if any(row):
+            row = primitive_vector(row)
+            echelon.append((next(c for c, x in enumerate(row) if x), row))
+            start.append(i)
+            if len(start) == d:
+                break
+    if len(start) < d:
+        raise ValueError("cone is not pointed")
+
+    rays = []  # (y, bitmask of the added rows that vanish on y)
+    for i in start:
+        # The signed maximal minors of the other d-1 start rows span their kernel.
+        others = [rows[j] for j in start if j != i]
+        y = tuple(
+            (-1) ** c * det(tuple(r[:c] + r[c + 1:] for r in others)) for c in range(d)
+        )
+        if dot(rows[i], y) < 0:
+            y = vec_scale(-1, y)
+        rays.append((primitive_vector(y), sum(1 << j for j in start if j != i)))
+    for k, row in enumerate(rows):
+        if k in start:
             continue
-        d = kb[0]
-        for cand in (d, vec_scale(-1, d)):
-            if all(dot(a, cand) <= 0 for a in normals):
-                return False
-    return True
+        bit = 1 << k
+        pos, neg, kept = [], [], []
+        for y, z in rays:
+            s = dot(row, y)
+            if s > 0:
+                pos.append((s, y, z))
+                kept.append((y, z))
+            elif s < 0:
+                neg.append((s, y, z))
+            else:
+                kept.append((y, z | bit))
+        for sp, p, zp in pos:
+            for sq, q, zq in neg:
+                z = zp & zq
+                if z.bit_count() < d - 2 or any(
+                    zr & z == z and zr != zp and zr != zq for _, zr in rays
+                ):
+                    continue
+                y = vec_sub(vec_scale(sp, q), vec_scale(sq, p))  # dot(row, y) = 0
+                kept.append((primitive_vector(y), z | bit))
+        rays = kept
+    return tuple(sorted(
+        primitive_vector([sum(c * b[j] for c, b in zip(y, basis)) for j in range(n)])
+        for y, _ in rays
+    ))
 
 
 def vertices_from_inequalities(h):
-    """Vertex enumeration by exhaustive n-subset facet intersection.
+    """Vertices of {y : <y, normal> <= rhs}, by double description.
 
-    Raises UnboundedPolytopeError for a nontrivial recession cone and
-    ValidationError when the feasible set is not full-dimensional.
-    Redundant inequalities are dropped and reported on the result.
+    The vertices are the rays (x, t) with t > 0 of the homogenised cone
+    {(x, t) : t >= 0, rhs*t - <normal, x> >= 0}, scaled to t = 1.  Raises
+    UnboundedPolytopeError for a nontrivial recession cone (a ray with
+    t = 0, or normals that do not span) and ValidationError when the
+    feasible set is empty or not full-dimensional.  Redundant inequalities
+    are dropped and reported on the result.
     """
     n = h.dim
     ineqs = h.inequalities
-    normals = [a for a, _ in ineqs]
-    if not _recession_is_trivial(normals, n):
+    if rank([a for a, _ in ineqs]) < n:
         raise UnboundedPolytopeError("inequality system is unbounded")
-
-    verts = {}
-    for subset in combinations(range(len(ineqs)), n):
-        a = tuple(ineqs[i][0] for i in subset)
-        b = tuple(ineqs[i][1] for i in subset)
-        x = solve_integer_cramer(a, b)
-        if x is None:
-            continue
-        if all(dot(normal, x) <= rhs for normal, rhs in ineqs):
-            verts[x] = True
-    vertices = sorted(verts)
-    if not vertices:
+    rows = [(0,) * n + (1,)]
+    for normal, rhs in ineqs:
+        rhs = Fraction(rhs)
+        rows.append(tuple(-a * rhs.denominator for a in normal) + (rhs.numerator,))
+    rays = extreme_rays((), rows, n + 1)
+    if any(ray[n] == 0 for ray in rays):
+        raise UnboundedPolytopeError("inequality system is unbounded")
+    if not rays:
         raise ValidationError("inequality system has empty interior")
+    vertices, rays = zip(
+        *sorted((tuple(Fraction(x, ray[n]) for x in ray[:n]), ray) for ray in rays)
+    )
     if affine_rank(vertices) < n:
         raise ValidationError("feasible set is not full-dimensional")
 
@@ -128,16 +186,15 @@ def vertices_from_inequalities(h):
     dropped = []
     incidence = []
     seen = {}
-    for normal, rhs in ineqs:
-        tight = frozenset(
-            i for i, vtx in enumerate(vertices) if dot(normal, vtx) == rhs
-        )
-        if len(tight) == 0:
-            dropped.append((normal, rhs))
-            continue
-        pts = [vertices[i] for i in tight]
-        aff = affine_rank(pts)
-        if aff < n - 1:
+    tights = [
+        frozenset(i for i, ray in enumerate(rays) if dot(row, ray) == 0)
+        for row in rows[1:]
+    ]
+    every = frozenset(range(len(vertices)))
+    for (normal, rhs), tight in zip(ineqs, tights):
+        # Every facet is cut out by some row, so a row cuts out a smaller
+        # face exactly when another row's proper face contains it.
+        if not tight or any(tight < other < every for other in tights):
             dropped.append((normal, rhs))
             continue
         key = primitive_vector(normal)
@@ -152,7 +209,7 @@ def vertices_from_inequalities(h):
 
     return Polytope(
         h=HPolytope(dim=n, inequalities=tuple(kept)),
-        v=VPolytope(vertices=tuple(vertices)),
+        v=VPolytope(vertices=vertices),
         incidence=tuple(incidence),
         dropped_inequalities=tuple(dropped),
     )
@@ -170,9 +227,11 @@ def affine_rank(points):
 def polytope_from_vertices(points):
     """Build the paired description of conv(points).
 
-    Facets are found by scanning n-subsets for supporting hyperplanes;
-    adequate at this package's scale (a few dozen points, dim <= 8).
-    Input points interior to the hull (or to a face) are discarded.
+    With the points over a common denominator D, the facets a.y <= b are
+    the extreme rays (a, D*b) of the cone {(a, c) : c - a.(D*p) >= 0 for
+    every point p} (`extreme_rays`); each is divided by gcd(a), so the
+    normal is primitive and b a Fraction.  Input points interior to the
+    hull (or to a face) are discarded.
     """
     pts = sorted(set(_frac_vec(p) for p in points))
     if not pts:
@@ -181,35 +240,25 @@ def polytope_from_vertices(points):
     if affine_rank(pts) < n:
         raise ValidationError("point set is not full-dimensional")
 
+    den = lcm(*(x.denominator for p in pts for x in p))
+    rows = [tuple(-int(x * den) for x in p) + (1,) for p in pts]
     facets = {}
-    for subset in combinations(range(len(pts)), n):
-        chosen = [pts[i] for i in subset]
-        base = chosen[0]
-        diffs = [tuple(c - d for c, d in zip(p, base)) for p in chosen[1:]]
-        kb = kernel_basis(diffs) if diffs else kernel_basis([tuple([0] * n)])
-        if len(kb) != 1:
-            continue
-        normal = kb[0]
-        rhs = Fraction(dot(normal, base))
-        side = [dot(normal, p) - rhs for p in pts]
-        if any(s > 0 for s in side):
-            normal = tuple(-x for x in normal)
-            rhs = -rhs
-            side = [-s for s in side]
-        if any(s > 0 for s in side):
-            continue  # points on both sides: not a supporting hyperplane
-        if (normal, rhs) not in facets:
-            facets[(normal, rhs)] = frozenset(
-                i for i, s in enumerate(side) if s == 0
-            )
+    for ray in extreme_rays((), rows, n + 1):
+        g = gcd_vector(ray[:n])
+        normal = tuple(a // g for a in ray[:n])
+        facets[(normal, Fraction(ray[n], den * g))] = frozenset(
+            i for i, row in enumerate(rows) if dot(ray, row) == 0
+        )
 
     ineqs = sorted(facets)
-    # A point is a vertex exactly when its tight facet normals span.
-    vertex_idx = []
-    for i in range(len(pts)):
-        tight_normals = [a for (a, rhs) in ineqs if i in facets[(a, rhs)]]
-        if len(tight_normals) >= n and rank(tight_normals) == n:
-            vertex_idx.append(i)
+    # A point is a vertex exactly when the facets through it meet in it
+    # alone: a larger face holds two vertices, and every vertex is a point.
+    every = frozenset(range(len(pts)))
+    vertex_idx = [
+        i
+        for i in range(len(pts))
+        if every.intersection(*(t for t in facets.values() if i in t)) == {i}
+    ]
     renumber = {old: new for new, old in enumerate(vertex_idx)}
     vertices = tuple(pts[i] for i in vertex_idx)
     incidence = tuple(

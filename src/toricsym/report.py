@@ -52,7 +52,7 @@ def _stage(report, key, fn, enabled=True):
     try:
         value = fn()
     except ToricSymError as exc:
-        report[key] = {"error": str(exc)}
+        report[key] = {"error": str(exc), "type": type(exc).__name__}
         return None
     report[key] = value
     return value

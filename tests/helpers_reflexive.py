@@ -156,18 +156,20 @@ def reflexive_polygon_classes(bound=3):
     return [fan for fan, _ in classes]
 
 
-def random_unimodular(rng, size=4):
-    m = [[1, 0], [0, 1]]
+def random_unimodular(rng, size=4, n=2):
+    """A product of `size` random elementary moves on the n x n identity:
+    add plus or minus one row to another, or swap two rows."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(size):
         kind = rng.randrange(3)
-        if kind == 0:
-            c = rng.choice([-1, 1])
-            m[0] = [m[0][0] + c * m[1][0], m[0][1] + c * m[1][1]]
-        elif kind == 1:
-            c = rng.choice([-1, 1])
-            m[1] = [m[1][0] + c * m[0][0], m[1][1] + c * m[0][1]]
-        else:
-            m[0], m[1] = m[1], m[0]
+        i, j = (0, 1) if n == 2 else rng.sample(range(n), 2)
+        if kind == 2:
+            m[i], m[j] = m[j], m[i]
+            continue
+        if kind == 1:
+            i, j = j, i
+        c = rng.choice([-1, 1])
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
     return tuple(tuple(r) for r in m)
 
 

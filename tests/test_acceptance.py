@@ -140,13 +140,15 @@ def test_criterion_3_fano_threefold():
         assert min(Fraction(1) / (1 + q) for q in pairings) == delta
 
 
-def _random_lattice_polytopes(rng, count):
+def _random_lattice_polytopes(rng, count, hull=polytope_from_vertices):
     """Vertex coordinates within [-4,4], dimensions 2-4 round robin.
 
     Every fifth polytope is centrally symmetrized so the vanishing branch
     of the rigidity check is actually exercised; the symmetric
     4-dimensional ones use a smaller coordinate range to keep their facet
-    systems and the scans of their dilations small.
+    systems and the scans of their dilations small.  `hull` builds each
+    polytope from its point set and raises ValidationError when the points
+    are not full-dimensional.
     """
     out = []
     while len(out) < count:
@@ -158,7 +160,7 @@ def _random_lattice_polytopes(rng, count):
         if symmetric:
             pts = {tuple(-x for x in p) for p in pts} | pts
         try:
-            p = polytope_from_vertices(sorted(pts))
+            p = hull(sorted(pts))
         except ValidationError:
             continue
         out.append(p)

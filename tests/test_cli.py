@@ -220,6 +220,13 @@ def test_cli_analyze_non_fano_embeds_stage_errors(tmp_path, capsys):
     assert "error" in report["chain"]
     assert "error" in report["stability"]
     assert "error" in report["ehrhart"]
+    # Each stage error names its exception type beside the message.
+    assert report["chain"]["type"] == "NonFanoError"
+    assert report["stability"]["type"] == "NonFanoError"
+    assert report["ehrhart"] == {
+        "error": "Ehrhart polynomial requires a lattice polytope",
+        "type": "NonLatticePolytopeError",
+    }
 
 
 def test_np_loader_absent_is_empty():

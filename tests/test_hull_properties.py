@@ -1,0 +1,73 @@
+"""Identities of the H- and V-descriptions under random GL(n, Z) maps.
+
+For a unimodular A, the facets of A.P are the A^-T images of the facets of
+P, with the same right-hand sides and the same incidences, and the vertex
+description computed back from the facets is the one we started from.
+"""
+
+from functools import lru_cache
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from helpers_reflexive import random_unimodular
+from toricsym.datasets import load_bundled
+from toricsym.fan import polytope_from_fan
+from toricsym.linalg import invert_unimodular, mat_vec, transpose
+from toricsym.polytope import (
+    polytope_from_vertices,
+    vertices_from_inequalities,
+)
+
+BUNDLED = (
+    "p2", "p1xp1", "dp1", "dp2", "dp3", "fano3fold_5_2", "futaki_1_2", "weighted_112",
+)
+
+
+@lru_cache(maxsize=None)
+def bundled_polytopes(name):
+    """The anticanonical polytope of a bundled fan and the hull of its rays."""
+    f = load_bundled(name)
+    return polytope_from_fan(f), polytope_from_vertices(f.rays)
+
+
+def incidences(p):
+    return {
+        (p.inequalities[i], p.vertices[j])
+        for i, tight in enumerate(p.incidence)
+        for j in tight
+    }
+
+
+polytopes = st.tuples(st.sampled_from(BUNDLED), st.sampled_from((0, 1))).map(
+    lambda key: bundled_polytopes(key[0])[key[1]]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=polytopes, rng=st.randoms(use_true_random=False))
+def test_facets_of_unimodular_image(p, rng):
+    a = random_unimodular(rng, size=8, n=p.dim)
+    a_inv_t = transpose(invert_unimodular(a))
+
+    def facet(ineq):
+        return (mat_vec(a_inv_t, ineq[0]), ineq[1])
+
+    image = polytope_from_vertices([mat_vec(a, v) for v in p.vertices])
+    assert image.inequalities == tuple(sorted(facet(f) for f in p.inequalities))
+    assert image.vertices == tuple(sorted(mat_vec(a, v) for v in p.vertices))
+    assert incidences(image) == {(facet(f), mat_vec(a, v)) for f, v in incidences(p)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=polytopes, rng=st.randoms(use_true_random=False))
+def test_vertices_from_facets_round_trip(p, rng):
+    a = random_unimodular(rng, size=8, n=p.dim)
+    vertices = sorted(mat_vec(a, v) for v in p.vertices)
+    q = polytope_from_vertices(vertices)
+    back = vertices_from_inequalities(q.h)
+    assert back.vertices == tuple(vertices)
+    assert back == q
+    assert back.dropped_inequalities == ()

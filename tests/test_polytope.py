@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from test_acceptance import Budget
 from toricsym.errors import UnboundedPolytopeError, ValidationError
-from toricsym.fan import polytope_from_fan
+from toricsym.fan import Fan, is_complete, polytope_from_fan
 from toricsym.linalg import mat_vec
 from toricsym.polytope import (
     HPolytope,
@@ -49,6 +51,10 @@ def test_unbounded_rejected():
     h = HPolytope.make(2, [((1, 0), 1), ((0, 1), 1)])
     with pytest.raises(UnboundedPolytopeError):
         vertices_from_inequalities(h)
+    # A strip contains a line: its homogenised cone is not pointed.
+    strip = HPolytope.make(2, [((1, 0), 1), ((-1, 0), 1)])
+    with pytest.raises(UnboundedPolytopeError):
+        vertices_from_inequalities(strip)
 
 
 def test_redundant_inequality_dropped_and_reported():
@@ -227,3 +233,19 @@ def test_facet_slice_matches_incidence():
         for i in tight:
             v = p.vertices[i]
             assert sum(x * y for x, y in zip(a, v)) == rhs
+
+
+def test_six_cube_at_scale():
+    # 64 vertices and 12 facets one way, 12 vertices and 64 facets the
+    # other; a scan over the 6-subsets of 64 rows does not finish.
+    cube = sorted(product((-1, 1), repeat=6))
+    with Budget("6-cube hull, cross-polytope vertices, face fan completeness", 2.0):
+        p = polytope_from_vertices(cube)
+        q = vertices_from_inequalities(HPolytope.make(6, [(s, 1) for s in cube]))
+        complete = is_complete(Fan.from_rays(cube))
+    assert p.vertices == tuple(fv(*v) for v in cube)
+    assert len(p.inequalities) == 12
+    assert all(len(tight) == 32 for tight in p.incidence)
+    assert len(q.vertices) == 12 and len(q.inequalities) == 64
+    assert q.dropped_inequalities == ()
+    assert complete
