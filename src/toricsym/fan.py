@@ -200,6 +200,7 @@ def _full_dim_cone_facets(f):
     return out
 
 
+@lru_cache(maxsize=256)
 def is_complete(f):
     """True iff the maximal cones tile N_R.
 
@@ -259,6 +260,7 @@ def polytope_from_fan(f):
         ) from exc
 
 
+@lru_cache(maxsize=256)
 def is_fano(f):
     """Reflexivity test: the operating notion of (Gorenstein) Fano.
 

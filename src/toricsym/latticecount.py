@@ -23,6 +23,7 @@ from .errors import (
     UnboundedPolytopeError,
     ValidationError,
 )
+from .linalg import integer_row, solve_rational
 from .polytope import is_lattice_polytope, volume_and_barycenter
 
 
@@ -53,83 +54,66 @@ class EnumerationPlan:
         return all(c0 + ck * k >= 0 for c0, ck in self.constants)
 
 
-def _normalize_row(coeffs, c0, c1):
-    """Scale to integers and divide out the gcd of the coefficients."""
-    den = 1
-    for x in (*coeffs, c0, c1):
-        d = Fraction(x).denominator
-        den = den * d // gcd(den, d)
-    ic = [int(Fraction(x) * den) for x in coeffs]
-    c0i = Fraction(c0) * den
-    c1i = Fraction(c1) * den
-    g = 0
-    for x in ic:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ic = [x // g for x in ic]
-        c0i = c0i / g
-        c1i = c1i / g
-    return tuple(ic), c0i, c1i
+def _reduced(row):
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else row
 
 
 def build_plan(dim, rows):
     """Fourier-Motzkin elimination from the last variable down.
 
-    `rows` are (coeffs, c0, ck) triples over rationals.  Redundancy is
-    pruned per level: exact duplicates keep only the Pareto-tightest
-    right-hand sides, and Imbert's cardinality rule discards derived rows
-    combining too many original ones.
+    `rows` are (coeffs, c0, ck) triples over rationals; each is scaled to
+    integers once and the elimination stays in integers.  Redundancy is
+    pruned per level: rows with the same primitive coefficient vector keep
+    only the Pareto-tightest right-hand sides, and Imbert's cardinality
+    rule discards derived rows combining too many original ones.  Each
+    plan row is stored divided by the gcd of its entries.
     """
-    work = []
-    for i, (coeffs, c0, ck) in enumerate(rows):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        work.append((coeffs, Fraction(c0), Fraction(ck), frozenset([i]), frozenset()))
-
+    # A work row is (coeffs..., c0, ck) with zero coefficients past the
+    # current level, plus the original rows it combines and the variables
+    # it eliminated.
+    work = [
+        (integer_row((*coeffs, c0, ck))[0], frozenset([i]), frozenset())
+        for i, (coeffs, c0, ck) in enumerate(rows)
+    ]
     levels = [None] * dim
     constants = []
 
     for j in range(dim - 1, -1, -1):
-        here, below, free = [], [], []
-        for row in work:
-            coeffs = row[0]
-            if coeffs[j] != 0:
-                here.append(row)
-            elif any(coeffs[i] != 0 for i in range(j)):
-                below.append(row)
-            else:
-                free.append((row[1], row[2]))
-        constants.extend(free)
-
         pruned = {}
-        for coeffs, c0, ck, hist, elim in here:
-            key_coeffs, c0n, ckn = _normalize_row(coeffs[: j + 1], c0, ck)
-            entry = pruned.setdefault(key_coeffs, [])
+        below = []
+        for row, hist, elim in work:
+            if not row[j]:
+                if any(row[:j]):
+                    below.append((row, hist, elim))
+                else:
+                    constants.append(_reduced(row[dim:]))
+                continue
+            # The right-hand sides at the primitive coefficient vector are
+            # c0/g and ck/g; compare them by cross-multiplying.
+            g = gcd(*row[: j + 1])
+            c0, ck = row[dim:]
+            key = tuple(x // g for x in row[: j + 1])
             dominated = False
             keep = []
-            for (e0, e1, eh, ee) in entry:
-                if e0 <= c0n and e1 <= ckn:
+            for e in pruned.get(key, ()):
+                e0, e1, eg = e[:3]
+                if e0 * g <= c0 * eg and e1 * g <= ck * eg:
                     dominated = True
-                    keep.append((e0, e1, eh, ee))
-                elif not (c0n <= e0 and ckn <= e1):
-                    keep.append((e0, e1, eh, ee))
+                    keep.append(e)
+                elif not (c0 * eg <= e0 * g and ck * eg <= e1 * g):
+                    keep.append(e)
             if not dominated:
-                keep.append((c0n, ckn, hist, elim))
-            pruned[key_coeffs] = keep
+                keep.append((c0, ck, g, row, hist, elim))
+            pruned[key] = keep
         level_rows = []
-        here2 = []
-        for key_coeffs, entries in sorted(pruned.items()):
-            for c0n, ckn, hist, elim in entries:
-                den = c0n.denominator * ckn.denominator // gcd(
-                    c0n.denominator, ckn.denominator
-                )
-                level_rows.append(
-                    PlanRow(
-                        coeffs=tuple(x * den for x in key_coeffs),
-                        c0=_as_int(c0n * den),
-                        ck=_as_int(ckn * den),
-                    )
-                )
-                here2.append((key_coeffs, c0n, ckn, hist, elim))
+        here = []
+        for _, entries in sorted(pruned.items()):
+            for *_, row, hist, elim in entries:
+                row = _reduced(row)
+                level_rows.append(PlanRow(coeffs=row[: j + 1], c0=row[dim], ck=row[dim + 1]))
+                here.append((row, hist, elim))
         if not any(r.coeffs[j] > 0 for r in level_rows) or not any(
             r.coeffs[j] < 0 for r in level_rows
         ):
@@ -138,46 +122,23 @@ def build_plan(dim, rows):
             )
         levels[j] = tuple(level_rows)
 
-        new_rows = list(below)
-        pos = [r for r in here2 if r[0][j] > 0]
-        neg = [r for r in here2 if r[0][j] < 0]
-        for pc, p0, p1, ph, pe in pos:
-            for nc, n0, n1, nh, ne in neg:
-                hist = ph | nh
-                elim = pe | ne | {j}
+        work = below
+        for p, ph, pe in here:
+            if p[j] < 0:
+                continue
+            for q, qh, qe in here:
+                if q[j] > 0:
+                    continue
+                hist = ph | qh
+                elim = pe | qe | {j}
                 # Imbert's acceleration: a combination of more originals
                 # than eliminated variables plus one is redundant.
                 if len(hist) > len(elim) + 1:
                     continue
-                a, b = pc[j], -nc[j]
-                coeffs = tuple(
-                    b * (pc[i] if i < len(pc) else 0) + a * (nc[i] if i < len(nc) else 0)
-                    for i in range(j)
-                ) + (Fraction(0),) * (dim - j)
-                c0 = b * p0 + a * n0
-                ck = b * p1 + a * n1
-                new_rows.append((coeffs, c0, ck, hist, elim))
-        work = new_rows
+                a, b = p[j], -q[j]
+                work.append((tuple(b * x + a * y for x, y in zip(p, q)), hist, elim))
 
-    scaled_constants = []
-    for c0, ck in constants:
-        c0, ck = Fraction(c0), Fraction(ck)
-        den = c0.denominator * ck.denominator // gcd(
-            c0.denominator, ck.denominator
-        )
-        scaled_constants.append((_as_int(c0 * den), _as_int(ck * den)))
-    return EnumerationPlan(
-        dim=dim,
-        levels=tuple(levels),
-        constants=tuple(scaled_constants),
-    )
-
-
-def _as_int(x):
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise InvariantViolation("plan row failed to normalize to integers")
-    return int(f)
+    return EnumerationPlan(dim=dim, levels=tuple(levels), constants=tuple(constants))
 
 
 def _plan_rows_for_polytope(p):
@@ -375,10 +336,8 @@ class EhrhartPolynomial:
 def _interpolate(samples):
     """Exact polynomial through (k, value) samples, coefficients low to high."""
     n = len(samples) - 1
-    mat = tuple(tuple(Fraction(k) ** j for j in range(n + 1)) for k, _ in samples)
-    from .linalg import solve_rational
-
-    sol = solve_rational(mat, tuple(Fraction(v) for _, v in samples))
+    mat = tuple(tuple(k ** j for j in range(n + 1)) for k, _ in samples)
+    sol = solve_rational(mat, tuple(v for _, v in samples))
     if sol is None:
         raise InvariantViolation("interpolation nodes are degenerate")
     return tuple(sol)

@@ -3,11 +3,17 @@
 Vectors are tuples, matrices are tuples of row tuples.  Entries are Python
 ints or `fractions.Fraction`; nothing in this module (or anywhere else in
 the package) touches floating point, so every result is exact.
+
+Rank, kernel, determinant, solve and inverse all go through one
+fraction-free Gauss-Jordan elimination (Bareiss 1968): every row is scaled
+to integers once by the lcm of its denominators (`integer_row`), and after
+that every division is exact.  The Smith normal form keeps its own
+unimodular reduction.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def identity(n):
@@ -50,50 +56,67 @@ def gcd_vector(v):
     return g
 
 
+def integer_row(v):
+    """(w, den): w = den * v is integral for the least positive integer den."""
+    den = lcm(*(e.denominator for e in v))
+    return tuple(int(e * den) for e in v), den
+
+
 def primitive_vector(v):
     """Scale a nonzero rational vector to a primitive integer vector.
 
     The sign is kept: the result is a positive multiple of the input.
     """
-    den = 1
-    for e in v:
-        den = den * e.denominator // gcd(den, e.denominator)
-    w = tuple(int(e * den) for e in v)
+    w, _ = integer_row(v)
     g = gcd_vector(w)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(e // g for e in w)
 
 
-def _rref(a):
-    """Reduced row echelon form over Fraction. Returns (rows, pivot columns)."""
-    rows = [list(map(Fraction, r)) for r in a]
+def _gauss_jordan(a):
+    """Fraction-free Gauss-Jordan elimination of the rows of `a`.
+
+    Returns (rows, pivots, d, det).  The first len(pivots) integer rows are
+    d times the reduced row echelon form of `a` and the rest are zero; d is
+    the last pivot, a minor of the integer-scaled rows, and 1 when there is
+    no pivot.  `det` is the determinant of `a` when `a` is square and
+    nonsingular.
+    """
+    rows, scale = [], 1
+    for r in a:
+        w, den = integer_row(r)
+        rows.append(w)
+        scale *= den
     m = len(rows)
     n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
+    pivots, sign, d = [], 1, 1
     for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        k = len(pivots)
+        piv = next((i for i in range(k, m) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [e * inv for e in rows[r]]
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top = rows[k]
+        p = top[c]
         for i in range(m):
-            if i != r and rows[i][c] != 0:
+            if i != k:
                 f = rows[i][c]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
+                # Exact division: every entry is a minor of the scaled rows.
+                rows[i] = tuple((p * x - f * y) // d for x, y in zip(rows[i], top))
+        d = p
         pivots.append(c)
-        r += 1
-        if r == m:
+        if k + 1 == m:
             break
-    return rows, pivots
+    return rows, pivots, d, sign * d if scale == 1 else Fraction(sign * d, scale)
 
 
 def rank(a):
     if not a:
         return 0
-    return len(_rref(a)[1])
+    return len(_gauss_jordan(a)[1])
 
 
 def kernel_basis(a):
@@ -101,61 +124,25 @@ def kernel_basis(a):
     if not a:
         return ()
     n = len(a[0])
-    rows, pivots = _rref(a)
-    free = [c for c in range(n) if c not in pivots]
+    rows, pivots, d, _ = _gauss_jordan(a)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [0] * n
+        v[fc] = d
         for r, pc in enumerate(pivots):
             v[pc] = -rows[r][fc]
-        basis.append(primitive_vector(v))
+        basis.append(primitive_vector(v if d > 0 else vec_scale(-1, v)))
     return tuple(basis)
 
 
 def det(a):
-    """Exact determinant (fraction-free for integer input via Bareiss)."""
-    n = len(a)
-    if n == 0:
+    """Exact determinant: an int when every entry is integral, else a Fraction."""
+    if not a:
         return 1
-    if any(isinstance(e, Fraction) and e.denominator != 1 for r in a for e in r):
-        return _det_fraction(a)
-    m = [list(r) for r in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-def _det_fraction(a):
-    n = len(a)
-    m = [[Fraction(e) for e in r] for r in a]
-    result = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            result = -result
-        result *= m[k][k]
-        inv = Fraction(1) / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] * inv
-                m[i] = [e - f * p for e, p in zip(m[i], m[k])]
-    return result
+    _, pivots, _, value = _gauss_jordan(a)
+    return value if len(pivots) == len(a) else 0
 
 
 def is_unimodular(a):
@@ -175,31 +162,21 @@ def solve_rational(a, b):
     m = len(a)
     if m == 0 or len(b) != m:
         raise ValueError("incompatible shapes")
-    n = len(a[0])
-    if n != m:
+    if len(a[0]) != m:
         return None
-    aug = [[Fraction(e) for e in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            return None
-        aug[k], aug[piv] = aug[piv], aug[k]
-        inv = Fraction(1) / aug[k][k]
-        aug[k] = [e * inv for e in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k]
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[k])]
-    return tuple(r[n] for r in aug)
+    rows, pivots, d, _ = _gauss_jordan([(*row, e) for row, e in zip(a, b)])
+    if pivots != list(range(m)):
+        return None
+    return tuple(Fraction(r[m], d) for r in rows)
 
 
 def invert_rational(a):
     """Exact inverse of a square nonsingular matrix, as Fractions."""
     n = len(a)
-    cols = [solve_rational(a, tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
-    if any(c is None for c in cols):
+    rows, pivots, d, _ = _gauss_jordan([(*row, *unit) for row, unit in zip(a, identity(n))])
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return transpose(cols)
+    return tuple(tuple(Fraction(x, d) for x in r[n:]) for r in rows)
 
 
 def invert_unimodular(a):

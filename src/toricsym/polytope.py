@@ -9,7 +9,7 @@ table.  All coordinates are Fractions; every computation is exact.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial
 
 from .errors import UnboundedPolytopeError, ValidationError
 from .linalg import (
@@ -17,9 +17,12 @@ from .linalg import (
     dot,
     gcd_vector,
     identity,
+    integer_row,
+    invert_rational,
     kernel_basis,
     primitive_vector,
     rank,
+    transpose,
     vec_scale,
     vec_sub,
 )
@@ -113,16 +116,13 @@ def extreme_rays(eqs, ineqs, n):
     if len(start) < d:
         raise ValueError("cone is not pointed")
 
-    rays = []  # (y, bitmask of the added rows that vanish on y)
-    for i in start:
-        # The signed maximal minors of the other d-1 start rows span their kernel.
-        others = [rows[j] for j in start if j != i]
-        y = tuple(
-            (-1) ** c * det(tuple(r[:c] + r[c + 1:] for r in others)) for c in range(d)
-        )
-        if dot(rows[i], y) < 0:
-            y = vec_scale(-1, y)
-        rays.append((primitive_vector(y), sum(1 << j for j in start if j != i)))
+    # Column i of the inverse of the start rows is 1 on start row i and 0 on
+    # the others.  A ray is (y, bitmask of the added rows that vanish on y).
+    inverse = transpose(invert_rational([rows[i] for i in start]))
+    rays = [
+        (primitive_vector(y), sum(1 << j for j in start if j != i))
+        for i, y in zip(start, inverse)
+    ]
     for k, row in enumerate(rows):
         if k in start:
             continue
@@ -240,8 +240,8 @@ def polytope_from_vertices(points):
     if affine_rank(pts) < n:
         raise ValidationError("point set is not full-dimensional")
 
-    den = lcm(*(x.denominator for p in pts for x in p))
-    rows = [tuple(-int(x * den) for x in p) + (1,) for p in pts]
+    flat, den = integer_row([x for p in pts for x in p])
+    rows = [tuple(-x for x in flat[i:i + n]) + (1,) for i in range(0, len(flat), n)]
     facets = {}
     for ray in extreme_rays((), rows, n + 1):
         g = gcd_vector(ray[:n])
@@ -457,10 +457,8 @@ def intersect_with_subspace(p, basis):
             if rhs < 0:
                 return SubspaceSlice(ambient_dim=n, basis=basis, polytope=None, is_point=False)
             continue
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        rows.append((tuple(int(c * den) for c in coeffs), Fraction(rhs) * den))
+        coeffs, den = integer_row(coeffs)
+        rows.append((coeffs, Fraction(rhs) * den))
     try:
         sliced = vertices_from_inequalities(HPolytope(dim=s, inequalities=tuple(rows)))
     except ValidationError:

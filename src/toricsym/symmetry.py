@@ -7,7 +7,6 @@ facets, split into semisimple and unipotent parts.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -20,13 +19,14 @@ from .fan import is_complete, is_fano, polytope_from_fan
 from .latticecount import enumerate_system
 from .linalg import (
     dot,
+    integer_row,
+    invert_rational,
     invert_unimodular,
     is_unimodular,
     kernel_basis,
     mat_mul,
     mat_vec,
     rank,
-    solve_rational,
     transpose,
     vec_scale,
 )
@@ -92,20 +92,20 @@ def _search_lattice_maps(points, pair_profiles, fingerprints, n):
     point_set = set(points)
     index_of = {p: i for i, p in enumerate(points)}
     results = {}
+    # sigma maps frame point r to image r, so sigma = B^T (F^T)^-1 for the
+    # frame rows F and the image rows B: entry (i, j) is column i of B
+    # dotted with row j of F^-1, held as an integer row w over den.
+    inverse = [integer_row(r) for r in invert_rational([points[f] for f in frame])]
 
     def extend(pos, images):
         if pos == n:
-            a = tuple(tuple(Fraction(points[f][j]) for j in range(n)) for f in frame)
-            b = tuple(points[i] for i in images)
-            # Row `col` of sigma solves <row, frame_r> = image_r[col] for all r.
-            sigma_rows = []
-            for col in range(n):
-                rhs = tuple(Fraction(b[r][col]) for r in range(n))
-                sol = solve_rational(a, rhs)
-                if sol is None or any(x.denominator != 1 for x in sol):
+            sigma = []
+            for col in zip(*(points[i] for i in images)):
+                entries = [divmod(dot(col, w), den) for w, den in inverse]
+                if any(r for _, r in entries):
                     return
-                sigma_rows.append(tuple(int(x) for x in sol))
-            sigma = tuple(sigma_rows)
+                sigma.append(tuple(q for q, _ in entries))
+            sigma = tuple(sigma)
             if not is_unimodular(sigma):
                 return
             mapped = [tuple(mat_vec(sigma, p)) for p in points]

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import toricsym.fan as fan_module
+from toricsym.datasets import load_bundled
 from toricsym.errors import UnboundedPolytopeError, ValidationError
 from toricsym.fan import (
     Fan,
@@ -15,6 +17,7 @@ from toricsym.fan import (
     polytope_from_fan,
     validate_fan,
 )
+from toricsym.report import analyze
 
 def test_validate_p2(p2_fan):
     assert validate_fan(p2_fan).ok
@@ -179,3 +182,17 @@ def test_smooth_complete_fans_have_unimodular_cones(p2_fan, dp3_fan):
         assert is_smooth(f)
         for cone in f.max_cones:
             assert det(tuple(f.rays[i] for i in cone)) in (1, -1)
+
+
+def test_analyze_computes_cone_facets_once(monkeypatch):
+    # is_complete and is_fano are cached: the stage guards of chain,
+    # symmetry, stability and demazure reuse the first answer.
+    calls = []
+    facets = fan_module._full_dim_cone_facets
+    monkeypatch.setattr(
+        fan_module, "_full_dim_cone_facets", lambda f: calls.append(f) or facets(f)
+    )
+    is_complete.cache_clear()
+    is_fano.cache_clear()
+    analyze(load_bundled("futaki_1_2"))
+    assert len(calls) == 1

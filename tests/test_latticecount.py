@@ -4,18 +4,26 @@ from itertools import product
 
 import pytest
 
+import helpers_linalg
 from test_acceptance import _random_lattice_polytopes
-from toricsym.datasets import load_bundled
-from toricsym.errors import NonLatticePolytopeError, ValidationError
+from toricsym.datasets import BUNDLED, load_bundled
+from toricsym.errors import (
+    NonLatticePolytopeError,
+    UnboundedPolytopeError,
+    ValidationError,
+)
+from toricsym.families import generate_futaki
 from toricsym.fan import polytope_from_fan
 from toricsym.latticecount import (
     _interpolate,
+    _plan_rows_for_polytope,
     barycenter_rational_function,
     build_plan,
     count_lattice_points,
     ehrhart_polynomial,
     enumerate_lattice_points,
     plan_count_and_sum,
+    plan_for_polytope,
     quantized_barycenter,
     rigidity_verdict,
 )
@@ -254,16 +262,38 @@ def test_negated_polytope_negates_numerators(dp1_fan, dp2_fan, fano52_fan):
         )
 
 
+# A bounded 4-simplex on which Imbert's rule drops every row of one sign on x_0.
+IMBERT_SIMPLEX = (
+    (-1, -2, -4, -4), (1, -3, 0, 1), (3, -4, 0, 3), (4, -4, 0, 2), (4, -4, 2, -4)
+)
+
+
 def test_plan_for_bounded_system_imbert_drops():
-    # Imbert's rule drops every row of one sign on x_0 for this bounded
-    # 4-simplex; the plan falls back to adding the bounding box.
-    p = polytope_from_vertices(
-        [(-1, -2, -4, -4), (1, -3, 0, 1), (3, -4, 0, 3), (4, -4, 0, 2), (4, -4, 2, -4)]
-    )
+    # The plan falls back to adding the bounding box.
+    p = polytope_from_vertices(IMBERT_SIMPLEX)
     assert count_lattice_points(p, 1) == 6
     assert list(enumerate_lattice_points(p)) == box_oracle(p)
     poly = ehrhart_polynomial(p)  # asserts a0 = 1 and a_n = volume
     assert poly(2) == len(box_oracle(p, 2))
+
+
+def test_integer_plan_matches_fraction_oracle():
+    polytopes = [polytope_from_fan(load_bundled(name)) for name in BUNDLED]
+    polytopes += [polytope_from_fan(generate_futaki(a, a)) for a in (2, 3)]
+    polytopes += _random_lattice_polytopes(random.Random(20250801), 60)
+    for p in polytopes:
+        rows = _plan_rows_for_polytope(p)
+        plan, expected = build_plan(p.dim, rows), helpers_linalg.build_plan(p.dim, rows)
+        assert plan.levels == expected.levels
+        for k in range(p.dim + 3):
+            assert plan.feasible_constants(k) == expected.feasible_constants(k)
+
+    simplex = polytope_from_vertices(IMBERT_SIMPLEX)
+    for plan_builder in (build_plan, helpers_linalg.build_plan):
+        with pytest.raises(UnboundedPolytopeError):
+            plan_builder(4, _plan_rows_for_polytope(simplex))
+    plan_for_polytope.cache_clear()
+    assert plan_count_and_sum(plan_for_polytope(simplex), 1)[0] == 6
 
 
 def test_rigidity_square():

@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+import helpers_linalg as oracle
 from toricsym.linalg import (
     det,
     identity,
     invariant_factors,
+    invert_rational,
     is_unimodular,
     kernel_basis,
     mat_mul,
     mat_vec,
+    rank,
     smith_normal_form,
     solve_rational,
 )
@@ -125,3 +128,57 @@ def test_kernel_basis_members_annihilate():
     assert len(basis) == 2
     for v in basis:
         assert mat_vec(a, v) == (0, 0)
+
+
+def _random_matrix(rng):
+    """1-7 rows and columns of small ints or Fractions, often square, with
+    zero rows and rows that are combinations of earlier ones mixed in."""
+    m = rng.randint(1, 7)
+    n = m if rng.random() < 0.5 else rng.randint(1, 7)
+    rational = rng.random() < 0.5
+    rows = []
+    for _ in range(m):
+        kind = rng.random()
+        if kind < 0.1:
+            row = (0,) * n
+        elif kind < 0.25 and rows:
+            c1, c2 = rng.randint(-2, 2), rng.randint(-2, 2)
+            r1, r2 = rng.choice(rows), rng.choice(rows)
+            row = tuple(c1 * x + c2 * y for x, y in zip(r1, r2))
+        elif rational:
+            row = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+        else:
+            row = tuple(rng.randint(-5, 5) for _ in range(n))
+        rows.append(row)
+    return tuple(rows)
+
+
+def test_kernel_matches_fraction_oracle_on_random_matrices():
+    rng = random.Random(19680601)
+    square = singular = 0
+    for _ in range(2000):
+        a = _random_matrix(rng)
+        m, n = len(a), len(a[0])
+        assert rank(a) == oracle.rank(a)
+        assert kernel_basis(a) == oracle.kernel_basis(a)
+        if m != n:
+            continue
+        square += 1
+        d = det(a)
+        assert d == oracle.det(a)
+        b = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+        assert solve_rational(a, b) == oracle.solve_rational(a, b)
+        if d == 0:
+            singular += 1
+            with pytest.raises(ValueError):
+                invert_rational(a)
+            continue
+        # The inverse is unique, so checking it is as good as the oracle's.
+        assert mat_mul(a, invert_rational(a)) == identity(n)
+    assert square > 900 and singular > 100
+
+
+def test_result_types_are_kept():
+    assert type(det(((2, 1), (1, 1)))) is int
+    assert type(det(((Fraction(1, 2), 0), (0, 4)))) is Fraction
+    assert all(type(x) is Fraction for x in solve_rational(identity(2), (3, 7)))
