@@ -3,8 +3,10 @@
 The workhorse is an EnumerationPlan: a one-time Fourier-Motzkin elimination
 of the inequality system A*x <= c0 + ck*k (right-hand sides linear in the
 dilation factor k), pruned per level, then scanned depth-first with exact
-integer interval bounds.  Counting and coordinate sums close the innermost
-level in constant time per prefix, which is what makes dilations of
+integer interval bounds.  Counting and coordinate sums never visit the
+points of the last level: its interval is closed by an arithmetic series
+inside the loop of the level above, and each upper level adds its
+coordinate times a subtree count, which is what makes dilations of
 7-dimensional polytopes tractable.
 
 One plan of P serves every dilation.  Its counts give the Ehrhart
@@ -12,7 +14,7 @@ polynomial, and its coordinate sums, which are polynomials in k as well
 (weighted Ehrhart theory), give the barycenter rational function.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -43,12 +45,14 @@ class EnumerationPlan:
     `levels[j]` bounds x_j given x_0..x_{j-1}; rows at level j have a
     nonzero trailing coefficient.  `constants` are the fully eliminated
     rows 0 <= c0 + ck*k.  Bounds are sound at every level and exact at the
-    last one.
+    last one.  `scans` memoizes (count, sums) by k for this plan, so each
+    dilation is scanned once however many operations ask for it.
     """
 
     dim: int
     levels: tuple  # levels[j]: tuple of PlanRow with len(coeffs) == j+1
     constants: tuple  # of (c0, ck)
+    scans: dict = field(default_factory=dict, compare=False, repr=False)
 
     def feasible_constants(self, k):
         return all(c0 + ck * k >= 0 for c0, ck in self.constants)
@@ -169,8 +173,9 @@ def _scan_setup(plan, k):
     """Per-level divisor lists, residuals, and update fanouts for a scan.
 
     `res[j][r]` holds c - sum(a_i x_i) over the assigned prefix for row r
-    of level j; `updates[i]` lists (level, row, coeff) touched when x_i
-    moves, so each bound evaluation is a single exact division.
+    of level j; `updates[i]` lists (res[j], r, coeff) for each residual
+    touched when x_i moves, so each bound evaluation is a single exact
+    division.
     """
     n = plan.dim
     divisors = []
@@ -184,12 +189,13 @@ def _scan_setup(plan, k):
         for j in range(i + 1, n):
             for r, row in enumerate(plan.levels[j]):
                 if row.coeffs[i]:
-                    ups.append((j, r, row.coeffs[i]))
+                    ups.append((res[j], r, row.coeffs[i]))
         updates.append(ups)
     return divisors, res, updates
 
 
 def _level_bounds(divisors_j, res_j):
+    """(lo, hi) of one level; `build_plan` gives it rows of both signs."""
     lo, hi = None, None
     for a, s in zip(divisors_j, res_j):
         if a > 0:
@@ -206,60 +212,81 @@ def _level_bounds(divisors_j, res_j):
 def plan_count_and_sum(plan, k):
     """(#points, coordinate sums) of the k-th dilation, exactly.
 
-    The innermost coordinate is closed in constant time per prefix via an
-    arithmetic series.
+    One depth-first pass: each call returns the point count of its
+    subtree, and level j adds x_j times that count to sums[j] once per
+    value x_j.  The loop over x_{n-2} closes the last level inline, with
+    no call per leaf: it steps the last level's residuals, takes its
+    bounds l..h, and adds h - l + 1 points whose last coordinates sum to
+    (h + l)(h - l + 1)/2.  That product is always even, so the halving
+    is deferred to one exact division at the end.  An upper level may be
+    looser than the projection of kP (Imbert's rule can drop needed
+    rows), so a prefix with h < l counts nothing.
     """
     n = plan.dim
     if not plan.feasible_constants(k):
         return 0, (0,) * n
     divisors, res, updates = _scan_setup(plan, k)
-    lo0, hi0 = _level_bounds(divisors[0], res[0])
-    if lo0 is None or hi0 is None or lo0 > hi0:
-        return 0, (0,) * n
     if n == 1:
-        cnt = hi0 - lo0 + 1
-        return cnt, ((hi0 + lo0) * cnt // 2,)
+        lo, hi = _level_bounds(divisors[0], res[0])
+        cnt = max(hi - lo + 1, 0)
+        return cnt, ((hi + lo) * cnt // 2,)
 
-    count = 0
     sums = [0] * n
-    prefix = [0] * (n - 1)
-    last = n - 1
+    penultimate = n - 2
+    last_res = res[n - 1]
+    last_rows = list(enumerate(divisors[n - 1]))
 
     def rec(j):
-        nonlocal count
         lo, hi = _level_bounds(divisors[j], res[j])
-        if lo is None or hi is None or lo > hi:
-            return
-        if j == last:
-            c = hi - lo + 1
-            count += c
-            sums[j] += (hi + lo) * c // 2
-            for i in range(last):
-                sums[i] += prefix[i] * c
-            return
+        if lo > hi:
+            return 0
         ups = updates[j]
-        for jj, r, a in ups:
-            res[jj][r] -= a * lo
-        prefix[j] = lo
-        rec(j + 1)
+        for lst, r, a in ups:
+            lst[r] -= a * lo
+        count = weighted = 0
         x = lo
-        while x < hi:
-            x += 1
-            for jj, r, a in ups:
-                res[jj][r] -= a
-            prefix[j] = x
-            rec(j + 1)
-        for jj, r, a in ups:
-            res[jj][r] += a * hi
+        if j == penultimate:
+            ends = 0  # sum of (h + l) * (h - l + 1) over the leaves
+            while True:
+                l = h = None
+                for r, a in last_rows:
+                    s = last_res[r]
+                    if a > 0:
+                        b = s // a
+                        if h is None or b < h:
+                            h = b
+                    else:
+                        b = -(s // -a)
+                        if l is None or b > l:
+                            l = b
+                if h >= l:
+                    c = h - l + 1
+                    count += c
+                    weighted += x * c
+                    ends += (h + l) * c
+                if x == hi:
+                    break
+                x += 1
+                for lst, r, a in ups:
+                    lst[r] -= a
+            sums[n - 1] += ends
+        else:
+            while True:
+                c = rec(j + 1)
+                count += c
+                weighted += x * c
+                if x == hi:
+                    break
+                x += 1
+                for lst, r, a in ups:
+                    lst[r] -= a
+        for lst, r, a in ups:
+            lst[r] += a * hi
+        sums[j] += weighted
+        return count
 
-    ups0 = updates[0]
-    for x0 in range(lo0, hi0 + 1):
-        for jj, r, a in ups0:
-            res[jj][r] -= a * x0
-        prefix[0] = x0
-        rec(1)
-        for jj, r, a in ups0:
-            res[jj][r] += a * x0
+    count = rec(0)
+    sums[n - 1] //= 2
     return count, tuple(sums)
 
 
@@ -273,8 +300,6 @@ def plan_points(plan, k):
 
     def rec(j):
         lo, hi = _level_bounds(divisors[j], res[j])
-        if lo is None or hi is None or lo > hi:
-            return
         if j == n - 1:
             for x in range(lo, hi + 1):
                 prefix[j] = x
@@ -282,12 +307,12 @@ def plan_points(plan, k):
             return
         ups = updates[j]
         for x in range(lo, hi + 1):
-            for jj, r, a in ups:
-                res[jj][r] -= a * x
+            for lst, r, a in ups:
+                lst[r] -= a * x
             prefix[j] = x
             yield from rec(j + 1)
-            for jj, r, a in ups:
-                res[jj][r] += a * x
+            for lst, r, a in ups:
+                lst[r] += a * x
 
     yield from rec(0)
 
@@ -302,15 +327,22 @@ def enumerate_lattice_points(p):
     return tuple(plan_points(plan, 1))
 
 
+def _count_and_sum(plan, k):
+    """plan_count_and_sum, run only for a k this plan has not scanned."""
+    if k not in plan.scans:
+        plan.scans[k] = plan_count_and_sum(plan, k)
+    return plan.scans[k]
+
+
 def count_lattice_points(p, k=1):
-    return plan_count_and_sum(plan_for_polytope(p), k)[0]
+    return _count_and_sum(plan_for_polytope(p), k)[0]
 
 
 def quantized_barycenter(p, k):
     """Average of the lattice points of kP, divided by k."""
     if k < 1:
         raise ValidationError("k must be a positive integer")
-    count, sums = plan_count_and_sum(plan_for_polytope(p), k)
+    count, sums = _count_and_sum(plan_for_polytope(p), k)
     if count == 0:
         raise ValidationError(f"{k}-th dilation contains no lattice points")
     return tuple(Fraction(s, k * count) for s in sums)
@@ -370,7 +402,7 @@ def ehrhart_polynomial(p):
         )
     plan = plan_for_polytope(p)
     return _ehrhart_from_counts(
-        p, [1] + [plan_count_and_sum(plan, k)[0] for k in range(1, p.dim + 1)]
+        p, [1] + [_count_and_sum(plan, k)[0] for k in range(1, p.dim + 1)]
     )
 
 
@@ -417,7 +449,7 @@ def barycenter_rational_function(p):
         )
     n = p.dim
     plan = plan_for_polytope(p)
-    counts, sums = zip(*(plan_count_and_sum(plan, k) for k in range(1, n + 2)))
+    counts, sums = zip(*(_count_and_sum(plan, k) for k in range(1, n + 2)))
     e_p = _ehrhart_from_counts(p, (1,) + counts[:n])
     if e_p(n + 1) != counts[n]:
         raise InvariantViolation("Ehrhart polynomial disagrees with the count at n+1")

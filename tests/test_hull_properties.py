@@ -1,8 +1,11 @@
-"""Identities of the H- and V-descriptions under random GL(n, Z) maps.
+"""Identities of the H- and V-descriptions and of the lattice scan under
+random GL(n, Z) maps.
 
 For a unimodular A, the facets of A.P are the A^-T images of the facets of
 P, with the same right-hand sides and the same incidences, and the vertex
 description computed back from the facets is the one we started from.
+The lattice points of k(A.P) are the A-images of those of kP, so the scan
+finds as many and their coordinate sums map by A.
 """
 
 from functools import lru_cache
@@ -15,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from helpers_reflexive import random_unimodular
 from toricsym.datasets import load_bundled
 from toricsym.fan import polytope_from_fan
+from toricsym.latticecount import plan_count_and_sum, plan_for_polytope
 from toricsym.linalg import invert_unimodular, mat_vec, transpose
 from toricsym.polytope import (
     polytope_from_vertices,
@@ -71,3 +75,12 @@ def test_vertices_from_facets_round_trip(p, rng):
     assert back.vertices == tuple(vertices)
     assert back == q
     assert back.dropped_inequalities == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=polytopes, k=st.integers(1, 3), rng=st.randoms(use_true_random=False))
+def test_lattice_scan_of_unimodular_image(p, k, rng):
+    a = random_unimodular(rng, size=8, n=p.dim)
+    count, sums = plan_count_and_sum(plan_for_polytope(p), k)
+    image = polytope_from_vertices([mat_vec(a, v) for v in p.vertices])
+    assert plan_count_and_sum(plan_for_polytope(image), k) == (count, mat_vec(a, sums))
