@@ -30,10 +30,6 @@ def load_bundled(name):
     return parse_fan_file(str(bundled_path(name)))
 
 
-def load_all_bundled():
-    return {name: load_bundled(name) for name in BUNDLED}
-
-
 def nill_paffenholz():
     """Externally provided high-dimensional fans, when present.
 

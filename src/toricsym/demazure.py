@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, ValidationError
 from .fan import is_complete, is_fano, is_simplicial, is_smooth, polytope_from_fan
-from .latticecount import enumerate_system
-from .linalg import dot, smith_normal_form, vec_scale
+from .latticecount import enumerate_lattice_points
+from .linalg import dot, smith_normal_form
 from .symmetry import aut0_subgroup, polytope_automorphisms, roots
 
 
@@ -131,20 +131,23 @@ def graded_dimension(f, alpha, classes=None):
 
     Q_v0 = {m : <m, v0> >= -1, <m, v> >= 0 for v != v0}; its points are
     the monomials of degree alpha, so the count is 1 + #roots paired to
-    the representative.  Independence of the representative is asserted.
+    the representative.  They are counted among the lattice points of the
+    anticanonical polytope P, which contains Q_v0, against Q_v0's own
+    inequalities, without reading the root list.  Independence of the
+    representative is asserted.
     """
     if classes is None:
         classes = variable_classes(f)
     table = dict(classes)
     if alpha not in table:
         raise ValidationError("class contains no coordinate variable")
+    points = enumerate_lattice_points(polytope_from_fan(f))
     counts = []
     for v0_idx in table[alpha]:
-        rows = []
-        for j, v in enumerate(f.rays):
-            bound = 1 if j == v0_idx else 0
-            rows.append((vec_scale(-1, v), bound))
-        counts.append(len(enumerate_system(f.dim, rows)))
+        counts.append(sum(
+            all(dot(m, v) >= (-1 if j == v0_idx else 0) for j, v in enumerate(f.rays))
+            for m in points
+        ))
     if len(set(counts)) != 1:
         raise InvariantViolation("graded dimension depends on the representative")
     return counts[0]

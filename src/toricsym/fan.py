@@ -283,11 +283,3 @@ def is_fano(f):
         return False
     return is_lattice_polytope(p)
 
-
-def facet_ray_pairing(f, p):
-    """For a Fano fan: facet index -> ray index, via the -v_i normals."""
-    pairing = []
-    for a, rhs in p.inequalities:
-        v = vec_scale(-1, a)
-        pairing.append(f.rays.index(v))
-    return tuple(pairing)

@@ -1,9 +1,10 @@
 """Exact lattice-point enumeration, quantized barycenters, Ehrhart data.
 
-The workhorse is an EnumerationPlan: a one-time Fourier-Motzkin elimination
-of the inequality system A*x <= c0 + ck*k (right-hand sides linear in the
-dilation factor k), pruned per level, then scanned depth-first with exact
-integer interval bounds.  Counting and coordinate sums never visit the
+The workhorse is an EnumerationPlan: per coordinate x_j, the facets of the
+projection of P onto x_0..x_j, read off once as integer rows
+A*x <= c0 + ck*k (right-hand sides linear in the dilation factor k), then
+scanned depth-first with exact integer interval bounds (project-and-lift,
+as in Normaliz).  Counting and coordinate sums never visit the
 points of the last level: its interval is closed by an arithmetic series
 inside the loop of the level above, and each upper level adds its
 coordinate times a subtree count, which is what makes dilations of
@@ -17,16 +18,10 @@ polynomial, and its coordinate sums, which are polynomials in k as well
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
-from .errors import (
-    InvariantViolation,
-    NonLatticePolytopeError,
-    UnboundedPolytopeError,
-    ValidationError,
-)
-from .linalg import integer_row, solve_rational
-from .polytope import is_lattice_polytope, volume_and_barycenter
+from .errors import InvariantViolation, NonLatticePolytopeError, ValidationError
+from .linalg import solve_rational
+from .polytope import is_lattice_polytope, polytope_from_vertices, volume_and_barycenter
 
 
 @dataclass(frozen=True)
@@ -40,133 +35,52 @@ class PlanRow:
 
 @dataclass(frozen=True)
 class EnumerationPlan:
-    """Per-coordinate bound systems from successive variable elimination.
+    """Per-coordinate bound systems read off the projections of a polytope.
 
-    `levels[j]` bounds x_j given x_0..x_{j-1}; rows at level j have a
-    nonzero trailing coefficient.  `constants` are the fully eliminated
-    rows 0 <= c0 + ck*k.  Bounds are sound at every level and exact at the
-    last one.  `scans` memoizes (count, sums) by k for this plan, so each
-    dilation is scanned once however many operations ask for it.
+    `levels[j]` bounds x_j given x_0..x_{j-1}: its rows are the facets of
+    the projection of P onto x_0..x_j with a nonzero coefficient on x_j,
+    so they hold rows of both signs and their interval is exact over every
+    real point of the projection below.  `constants` is always empty;
+    `bench/tracer.py` still reads it.  `scans` memoizes
+    (count, sums) by k for this plan, so each dilation is scanned once
+    however many operations ask for it.
     """
 
     dim: int
     levels: tuple  # levels[j]: tuple of PlanRow with len(coeffs) == j+1
-    constants: tuple  # of (c0, ck)
+    constants: tuple = ()
     scans: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def feasible_constants(self, k):
-        return all(c0 + ck * k >= 0 for c0, ck in self.constants)
 
+def build_plan(p):
+    """The plan of P by project-and-lift (as in Normaliz).
 
-def _reduced(row):
-    """The integer row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return tuple(x // g for x in row) if g > 1 else row
-
-
-def build_plan(dim, rows):
-    """Fourier-Motzkin elimination from the last variable down.
-
-    `rows` are (coeffs, c0, ck) triples over rationals; each is scaled to
-    integers once and the elimination stays in integers.  Redundancy is
-    pruned per level: rows with the same primitive coefficient vector keep
-    only the Pareto-tightest right-hand sides, and Imbert's cardinality
-    rule discards derived rows combining too many original ones.  Each
-    plan row is stored divided by the gcd of its entries.
+    Level j is taken from the facets of conv{v[:j+1] : v a vertex of P},
+    one `polytope_from_vertices` call per level, and the last level from
+    P's own inequalities; a facet with a zero coefficient on x_j belongs
+    to a level below.  A facet a.x <= b becomes the integer row
+    (D*a) . x <= D*b*k with D the denominator of b, so one plan serves
+    every dilation kP.
     """
-    # A work row is (coeffs..., c0, ck) with zero coefficients past the
-    # current level, plus the original rows it combines and the variables
-    # it eliminated.
-    work = [
-        (integer_row((*coeffs, c0, ck))[0], frozenset([i]), frozenset())
-        for i, (coeffs, c0, ck) in enumerate(rows)
-    ]
-    levels = [None] * dim
-    constants = []
-
-    for j in range(dim - 1, -1, -1):
-        pruned = {}
-        below = []
-        for row, hist, elim in work:
-            if not row[j]:
-                if any(row[:j]):
-                    below.append((row, hist, elim))
-                else:
-                    constants.append(_reduced(row[dim:]))
-                continue
-            # The right-hand sides at the primitive coefficient vector are
-            # c0/g and ck/g; compare them by cross-multiplying.
-            g = gcd(*row[: j + 1])
-            c0, ck = row[dim:]
-            key = tuple(x // g for x in row[: j + 1])
-            dominated = False
-            keep = []
-            for e in pruned.get(key, ()):
-                e0, e1, eg = e[:3]
-                if e0 * g <= c0 * eg and e1 * g <= ck * eg:
-                    dominated = True
-                    keep.append(e)
-                elif not (c0 * eg <= e0 * g and ck * eg <= e1 * g):
-                    keep.append(e)
-            if not dominated:
-                keep.append((c0, ck, g, row, hist, elim))
-            pruned[key] = keep
-        level_rows = []
-        here = []
-        for _, entries in sorted(pruned.items()):
-            for *_, row, hist, elim in entries:
-                row = _reduced(row)
-                level_rows.append(PlanRow(coeffs=row[: j + 1], c0=row[dim], ck=row[dim + 1]))
-                here.append((row, hist, elim))
-        if not any(r.coeffs[j] > 0 for r in level_rows) or not any(
-            r.coeffs[j] < 0 for r in level_rows
-        ):
-            raise UnboundedPolytopeError(
-                f"variable {j} is unbounded in the inequality system"
-            )
-        levels[j] = tuple(level_rows)
-
-        work = below
-        for p, ph, pe in here:
-            if p[j] < 0:
-                continue
-            for q, qh, qe in here:
-                if q[j] > 0:
-                    continue
-                hist = ph | qh
-                elim = pe | qe | {j}
-                # Imbert's acceleration: a combination of more originals
-                # than eliminated variables plus one is redundant.
-                if len(hist) > len(elim) + 1:
-                    continue
-                a, b = p[j], -q[j]
-                work.append((tuple(b * x + a * y for x, y in zip(p, q)), hist, elim))
-
-    return EnumerationPlan(dim=dim, levels=tuple(levels), constants=tuple(constants))
-
-
-def _plan_rows_for_polytope(p):
-    return [(a, 0, rhs) for a, rhs in p.inequalities]
+    n = p.dim
+    levels = []
+    for j in range(n):
+        if j == n - 1:
+            facets = p.inequalities
+        else:
+            facets = polytope_from_vertices([v[: j + 1] for v in p.vertices]).inequalities
+        levels.append(tuple(
+            PlanRow(coeffs=tuple(b.denominator * x for x in a), c0=0, ck=b.numerator)
+            for a, b in facets
+            if a[j]
+        ))
+    return EnumerationPlan(dim=n, levels=tuple(levels))
 
 
 @lru_cache(maxsize=256)
 def plan_for_polytope(p):
-    """Build (and cache) the enumeration plan whose k-th evaluation is kP.
-
-    Imbert's rule in `build_plan` counts only the variables eliminated
-    explicitly, so on some bounded systems it drops every row of one sign
-    at a level and reports the variable unbounded.  P is bounded, so the
-    plan is then rebuilt once with the bounding box of kP added.
-    """
-    rows = _plan_rows_for_polytope(p)
-    try:
-        return build_plan(p.dim, rows)
-    except UnboundedPolytopeError:
-        for i in range(p.dim):
-            unit = tuple(1 if j == i else 0 for j in range(p.dim))
-            rows.append((unit, 0, max(v[i] for v in p.vertices)))
-            rows.append((tuple(-x for x in unit), 0, -min(v[i] for v in p.vertices)))
-        return build_plan(p.dim, rows)
+    """Build (and cache) the enumeration plan whose k-th evaluation is kP."""
+    return build_plan(p)
 
 
 def _scan_setup(plan, k):
@@ -218,13 +132,12 @@ def plan_count_and_sum(plan, k):
     no call per leaf: it steps the last level's residuals, takes its
     bounds l..h, and adds h - l + 1 points whose last coordinates sum to
     (h + l)(h - l + 1)/2.  That product is always even, so the halving
-    is deferred to one exact division at the end.  An upper level may be
-    looser than the projection of kP (Imbert's rule can drop needed
-    rows), so a prefix with h < l counts nothing.
+    is deferred to one exact division at the end.  A level's interval is
+    exact over every real point of the projection below, but over an
+    integer prefix it may hold no integer, so a prefix with h < l (or a
+    level with lo > hi) counts nothing.
     """
     n = plan.dim
-    if not plan.feasible_constants(k):
-        return 0, (0,) * n
     divisors, res, updates = _scan_setup(plan, k)
     if n == 1:
         lo, hi = _level_bounds(divisors[0], res[0])
@@ -293,8 +206,6 @@ def plan_count_and_sum(plan, k):
 def plan_points(plan, k):
     """All lattice points of the k-th dilation, in lexicographic order."""
     n = plan.dim
-    if not plan.feasible_constants(k):
-        return
     divisors, res, updates = _scan_setup(plan, k)
     prefix = [0] * n
 
@@ -514,8 +425,3 @@ def rigidity_verdict(p, ks):
         rational_function=brf,
     )
 
-
-def enumerate_system(dim, rows):
-    """Lattice points of {x : coeffs*x <= rhs} for constant integer systems."""
-    plan = build_plan(dim, [(a, rhs, 0) for a, rhs in rows])
-    return tuple(plan_points(plan, 1))

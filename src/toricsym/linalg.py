@@ -33,10 +33,6 @@ def mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def vec_add(x, y):
-    return tuple(p + q for p, q in zip(x, y))
-
-
 def vec_sub(x, y):
     return tuple(p - q for p, q in zip(x, y))
 

@@ -29,10 +29,6 @@ def rat(x):
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def parse_rat(s):
-    return Fraction(s)
-
-
 def rat_vec(v):
     return [rat(x) for x in v]
 

@@ -16,7 +16,7 @@ from .errors import (
     ValidationError,
 )
 from .fan import is_complete, is_fano, polytope_from_fan
-from .latticecount import enumerate_system
+from .latticecount import enumerate_lattice_points
 from .linalg import (
     dot,
     integer_row,
@@ -295,18 +295,20 @@ class RootData:
 
 @lru_cache(maxsize=256)
 def roots(f):
-    """Compute R(P) per ray by enumerating a bounded linear system."""
+    """R(P) from one pass over the lattice points of P = {<m, v> >= -1}.
+
+    A point m of P is a root paired to ray i when <m, v_i> = -1 and every
+    other pairing is >= 0.  The roots are listed by ray, and by the
+    lexicographic order of the points within a ray.
+    """
     if not is_complete(f):
         raise ValidationError("roots are computed for complete fans only")
-    n = f.dim
     out = []
-    for idx, v0 in enumerate(f.rays):
-        rows = [(v0, -1), (vec_scale(-1, v0), 1)]  # <m, v0> = -1
-        for j, v in enumerate(f.rays):
-            if j != idx:
-                rows.append((vec_scale(-1, v), 0))  # <m, v> >= 0
-        for m in enumerate_system(n, rows):
-            out.append((m, idx))
+    for m in enumerate_lattice_points(polytope_from_fan(f)):
+        vals = [dot(m, v) for v in f.rays]
+        if vals.count(-1) == 1:  # on P every other pairing is then >= 0
+            out.append((m, vals.index(-1)))
+    out.sort(key=lambda root: root[1])
     root_set = frozenset(m for m, _ in out)
     semis = tuple(
         (m, i) for m, i in out if tuple(-x for x in m) in root_set

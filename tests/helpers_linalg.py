@@ -1,11 +1,11 @@
 """Fraction elimination routines, kept as a test oracle.
 
 These are the routines that the fraction-free kernel of `toricsym.linalg`
-and the integer-only `latticecount.build_plan` replaced: a Fraction
+and the project-and-lift `latticecount.build_plan` replaced: a Fraction
 reduced row echelon form behind rank and kernel, a Bareiss determinant with
 a Fraction fallback, a Fraction Gauss-Jordan solve, and the Fourier-Motzkin
-plan build over Fractions.  They share no code with the kernel, so the
-tests compare the two on random and bundled inputs.
+plan build over Fractions.  They share no code with the library routines,
+so the tests compare the two on random and bundled inputs.
 """
 
 from fractions import Fraction
@@ -170,7 +170,14 @@ def _as_int(x):
 
 
 def build_plan(dim, rows):
-    """Fourier-Motzkin elimination over Fractions, with the same pruning."""
+    """Fourier-Motzkin elimination over Fractions.
+
+    `rows` are (coeffs, c0, ck) triples.  Rows with the same primitive
+    normal keep only the Pareto-tightest right-hand sides, and Imbert's
+    rule drops derived rows that combine too many original ones.  Upper
+    levels may be looser than the projection; the scan's width guard
+    skips the prefixes that this lets through.
+    """
     work = []
     for i, (coeffs, c0, ck) in enumerate(rows):
         coeffs = tuple(Fraction(c) for c in coeffs)

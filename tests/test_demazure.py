@@ -1,6 +1,9 @@
 import pytest
 
+import helpers_linalg
+from toricsym.datasets import BUNDLED, load_bundled
 from toricsym.errors import ValidationError
+from toricsym.families import generate_futaki
 from toricsym.fan import Fan
 from toricsym.demazure import (
     class_group,
@@ -9,11 +12,74 @@ from toricsym.demazure import (
     root_automorphism,
     variable_classes,
 )
-from toricsym.symmetry import roots
+from toricsym.latticecount import plan_points
+from toricsym.linalg import vec_scale
+from toricsym.symmetry import RootData, roots
 
 
 def class_sizes(f):
     return tuple(sorted((len(m) for _, m in variable_classes(f)), reverse=True))
+
+
+def enumerate_system(dim, rows):
+    """Lattice points of {x : coeffs*x <= rhs}, by the Fourier-Motzkin oracle."""
+    plan = helpers_linalg.build_plan(dim, [(a, rhs, 0) for a, rhs in rows])
+    return tuple(plan_points(plan, 1))
+
+
+def roots_oracle(f):
+    """R(P) ray by ray: the points of {<m, v0> = -1, <m, v> >= 0 otherwise}."""
+    out = []
+    for idx, v0 in enumerate(f.rays):
+        rows = [(v0, -1), (vec_scale(-1, v0), 1)]
+        rows += [(vec_scale(-1, v), 0) for j, v in enumerate(f.rays) if j != idx]
+        out += [(m, idx) for m in enumerate_system(f.dim, rows)]
+    root_set = {m for m, _ in out}
+    return RootData(
+        roots=tuple(out),
+        semisimple=tuple((m, i) for m, i in out if vec_scale(-1, m) in root_set),
+        unipotent=tuple((m, i) for m, i in out if vec_scale(-1, m) not in root_set),
+    )
+
+
+def graded_dimension_oracle(f, members):
+    """The counts of Q_v0 for each representative v0 of one class."""
+    return {
+        len(enumerate_system(f.dim, [
+            (vec_scale(-1, v), 1 if j == v0 else 0) for j, v in enumerate(f.rays)
+        ]))
+        for v0 in members
+    }
+
+
+def hirzebruch(a):
+    """F_a: rays (1,0), (0,1), (-1,a), (0,-1) around the plane."""
+    return Fan.make(2, [(1, 0), (0, 1), (-1, a), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def hirzebruch_times_p1(a):
+    rays = [r + (0,) for r in hirzebruch(a).rays] + [(0, 0, 1), (0, 0, -1)]
+    return Fan.make(
+        3, rays, [c + (z,) for c in hirzebruch(a).max_cones for z in (4, 5)]
+    )
+
+
+def test_roots_and_graded_dims_match_per_ray_oracle():
+    fans = [load_bundled(name) for name in BUNDLED]
+    fans += [generate_futaki(a, b) for a, b in ((1, 2), (2, 2), (1, 3), (2, 3))]
+    fans.append(Fan.make(2, [(1, 0), (0, 1), (-1, -3)], [(0, 1), (1, 2), (0, 2)]))
+    fans += [hirzebruch(a) for a in (2, 3, 4, 5)] + [hirzebruch_times_p1(3)]
+    for f in fans:
+        assert roots(f) == roots_oracle(f), f.rays
+        for alpha, members in variable_classes(f):
+            assert graded_dimension_oracle(f, members) == {graded_dimension(f, alpha)}
+
+
+def test_hirzebruch_aut0_dimension():
+    # dim Aut_0(F_a) = a + 5 for a >= 1 (Demazure): the anticanonical
+    # polytope of F_a is rational for a >= 3.
+    for a in (2, 3, 4, 5):
+        assert demazure_report(hirzebruch(a)).dim_aut0 == a + 5
 
 
 def test_class_group_p2(p2_fan):

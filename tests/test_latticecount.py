@@ -16,14 +16,12 @@ from toricsym.families import generate_futaki
 from toricsym.fan import polytope_from_fan
 from toricsym.latticecount import (
     _interpolate,
-    _plan_rows_for_polytope,
     barycenter_rational_function,
     build_plan,
     count_lattice_points,
     ehrhart_polynomial,
     enumerate_lattice_points,
     plan_count_and_sum,
-    plan_for_polytope,
     quantized_barycenter,
     rigidity_verdict,
 )
@@ -66,7 +64,7 @@ def lifted_numerators(p):
         rows = [(tuple(a) + (0,), 0, rhs) for a, rhs in p.inequalities]
         rows.append(((0,) * n + (-1,), 0, 0))  # h >= 0
         rows.append((tuple(-1 if j == i else 0 for j in range(n)) + (1,), 0, c_i))
-        lifted = build_plan(n + 1, rows)
+        lifted = helpers_linalg.build_plan(n + 1, rows)
         q = list(_interpolate(
             [(k, plan_count_and_sum(lifted, k)[0] if k else 1) for k in range(n + 2)]
         ))
@@ -262,14 +260,15 @@ def test_negated_polytope_negates_numerators(dp1_fan, dp2_fan, fano52_fan):
         )
 
 
-# A bounded 4-simplex on which Imbert's rule drops every row of one sign on x_0.
+# A bounded 4-simplex on which Fourier-Motzkin with Imbert's rule drops
+# every row of one sign on x_0.
 IMBERT_SIMPLEX = (
     (-1, -2, -4, -4), (1, -3, 0, 1), (3, -4, 0, 3), (4, -4, 0, 2), (4, -4, 2, -4)
 )
 
 
 def test_plan_for_bounded_system_imbert_drops():
-    # The plan falls back to adding the bounding box.
+    # The plan's levels are projections of the simplex, which are bounded.
     p = polytope_from_vertices(IMBERT_SIMPLEX)
     assert count_lattice_points(p, 1) == 6
     assert list(enumerate_lattice_points(p)) == box_oracle(p)
@@ -277,23 +276,71 @@ def test_plan_for_bounded_system_imbert_drops():
     assert poly(2) == len(box_oracle(p, 2))
 
 
-def test_integer_plan_matches_fraction_oracle():
-    polytopes = [polytope_from_fan(load_bundled(name)) for name in BUNDLED]
-    polytopes += [polytope_from_fan(generate_futaki(a, a)) for a in (2, 3)]
-    polytopes += _random_lattice_polytopes(random.Random(20250801), 60)
-    for p in polytopes:
-        rows = _plan_rows_for_polytope(p)
-        plan, expected = build_plan(p.dim, rows), helpers_linalg.build_plan(p.dim, rows)
-        assert plan.levels == expected.levels
-        for k in range(p.dim + 3):
-            assert plan.feasible_constants(k) == expected.feasible_constants(k)
+def fourier_motzkin_plan(p):
+    """P's plan by the Fraction Fourier-Motzkin oracle."""
+    return helpers_linalg.build_plan(p.dim, [(a, 0, rhs) for a, rhs in p.inequalities])
+
+
+def test_plan_matches_fourier_motzkin_oracle():
+    # Each polytope with the largest dilation compared; None means n+2.
+    cases = [(polytope_from_fan(load_bundled(name)), None) for name in BUNDLED]
+    cases.append((polytope_from_fan(generate_futaki(2, 2)), None))
+    cases.append((polytope_from_fan(generate_futaki(3, 3)), 2))
+    lattice = _random_lattice_polytopes(random.Random(20250801), 60)
+    cases += [(p, None) for p in lattice]
+    # Halved, so that facets of P and of its projections have fractional
+    # right-hand sides.
+    cases += [
+        (polytope_from_vertices([tuple(x / 2 for x in v) for v in p.vertices]), None)
+        for p in lattice[:6]
+    ]
+    for p, k_max in cases:
+        plan, expected = build_plan(p), fourier_motzkin_plan(p)
+        for k in range((p.dim + 2 if k_max is None else k_max) + 1):
+            assert plan_count_and_sum(plan, k) == plan_count_and_sum(expected, k)
 
     simplex = polytope_from_vertices(IMBERT_SIMPLEX)
-    for plan_builder in (build_plan, helpers_linalg.build_plan):
-        with pytest.raises(UnboundedPolytopeError):
-            plan_builder(4, _plan_rows_for_polytope(simplex))
-    plan_for_polytope.cache_clear()
-    assert plan_count_and_sum(plan_for_polytope(simplex), 1)[0] == 6
+    with pytest.raises(UnboundedPolytopeError):
+        fourier_motzkin_plan(simplex)
+    plan = build_plan(simplex)
+    for k in (1, 2):
+        points = box_oracle(simplex, k)
+        sums = tuple(sum(x[i] for x in points) for i in range(4))
+        assert plan_count_and_sum(plan, k) == (len(points), sums)
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def test_product_multiplies_ehrhart_and_sums(p2_fan, dp3_fan, dp1_fan, fano52_fan):
+    # The points of k(P x Q) are pairs of points of kP and kQ, so
+    # E_{PxQ} = E_P E_Q, and the sums over k(P x Q) are S_P E_Q on P's
+    # coordinates and S_Q E_P on Q's.
+    segment = polytope_from_vertices([(-1,), (2,)])
+    triangle = polytope_from_vertices([(0, 0), (3, 1), (1, 2)])
+    cases = [
+        (polytope_from_fan(p2_fan), polytope_from_fan(dp3_fan)),
+        (polytope_from_fan(dp1_fan), segment),
+        (triangle, triangle),
+        (polytope_from_fan(fano52_fan), segment),
+    ]
+    for p, q in cases:
+        pq = polytope_from_vertices([u + v for u in p.vertices for v in q.vertices])
+        e_p, e_q = ehrhart_polynomial(p), ehrhart_polynomial(q)
+        assert ehrhart_polynomial(pq).coefficients == poly_mul(
+            e_p.coefficients, e_q.coefficients
+        )
+        for k in (1, 2):
+            (c_p, s_p), (c_q, s_q) = (plan_count_and_sum(build_plan(x), k) for x in (p, q))
+            assert plan_count_and_sum(build_plan(pq), k) == (
+                c_p * c_q,
+                tuple(s * c_q for s in s_p) + tuple(s * c_p for s in s_q),
+            )
 
 
 def test_rigidity_square():

@@ -26,7 +26,7 @@ def test_scan_matches_per_leaf_oracle():
     # Each polytope with the largest dilation compared; None means n+2.
     cases = [(polytope_from_fan(load_bundled(name)), None) for name in BUNDLED]
     cases += [(p, None) for p in _random_lattice_polytopes(random.Random(20250801), 60)]
-    cases.append((polytope_from_vertices(IMBERT_SIMPLEX), None))  # bounding-box plan
+    cases.append((polytope_from_vertices(IMBERT_SIMPLEX), None))  # beyond Fourier-Motzkin
     cases += [
         (polytope_from_vertices([(a,), (b,)]), None) for a, b in ((0, 1), (-1, 1), (-5, -2), (2, 9))
     ]
