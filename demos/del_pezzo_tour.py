@@ -8,8 +8,8 @@ one- and two-point blow-ups are unstable with unipotent directions.
 
 from toricsym import (
     classify_symmetry,
-    fan_automorphisms,
     metric_verdicts,
+    polytope_automorphisms,
     polytope_from_fan,
     roots,
 )
@@ -23,7 +23,7 @@ for name in NAMES:
     print(f"== {name}  (dimension {fan.dim}, {len(fan.rays)} rays)")
     print("   polytope vertices:", [tuple(map(int, v)) for v in p.vertices])
 
-    aut = fan_automorphisms(fan)
+    aut = polytope_automorphisms(p)
     print(f"   |Aut P| = {aut.order}")
 
     rd = roots(fan)

@@ -15,7 +15,7 @@ from .fan import polytope_from_fan
 from .fileio import parse_fan_file, write_fan_file
 from .latticecount import ehrhart_polynomial, quantized_barycenter
 from .stability import alpha_invariant, delta_invariant, delta_k
-from .symmetry import aut0_subgroup, fan_automorphisms, roots
+from .symmetry import aut0_subgroup, polytope_automorphisms, roots
 from .demazure import demazure_report
 
 
@@ -73,8 +73,8 @@ def cmd_roots(args):
 
 def cmd_aut(args):
     fan = _load(args.file)
-    group = fan_automorphisms(fan)
     p = polytope_from_fan(fan)
+    group = polytope_automorphisms(p)
     aut0 = aut0_subgroup(p, root_data=roots(fan))
     print(f"aut_p_order {group.order}")
     print(f"aut0_p_order {aut0.order}")

@@ -126,22 +126,23 @@ def variable_classes(f):
     return tuple((c, tuple(groups[c])) for c in classes)
 
 
-def graded_dimension(f, alpha, classes=None):
+def graded_dimension(f, alpha, classes=None, points=None):
     """dim S_alpha by lattice-point count of Q_v0 for a representative ray.
 
     Q_v0 = {m : <m, v0> >= -1, <m, v> >= 0 for v != v0}; its points are
     the monomials of degree alpha, so the count is 1 + #roots paired to
     the representative.  They are counted among the lattice points of the
     anticanonical polytope P, which contains Q_v0, against Q_v0's own
-    inequalities, without reading the root list.  Independence of the
-    representative is asserted.
+    inequalities, without reading the root list; `points` may pass them
+    in.  Independence of the representative is asserted.
     """
     if classes is None:
         classes = variable_classes(f)
     table = dict(classes)
     if alpha not in table:
         raise ValidationError("class contains no coordinate variable")
-    points = enumerate_lattice_points(polytope_from_fan(f))
+    if points is None:
+        points = enumerate_lattice_points(polytope_from_fan(f))
     counts = []
     for v0_idx in table[alpha]:
         counts.append(sum(
@@ -200,7 +201,8 @@ def demazure_report(f):
     cg = class_group(f)
     classes = variable_classes(f)
     rd = roots(f)
-    graded = tuple((alpha, graded_dimension(f, alpha, classes)) for alpha, _ in classes)
+    points = enumerate_lattice_points(polytope_from_fan(f))
+    graded = tuple((a, graded_dimension(f, a, classes, points)) for a, _ in classes)
     sizes = tuple(sorted((len(members) for _, members in classes), reverse=True))
     if sum(sizes) != len(f.rays):
         raise InvariantViolation("class partition does not cover the rays")

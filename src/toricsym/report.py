@@ -19,7 +19,7 @@ from .stability import alpha_invariant, delta_invariant, delta_k
 from .symmetry import (
     aut0_subgroup,
     classify_symmetry,
-    fan_automorphisms,
+    polytope_automorphisms,
     roots,
 )
 
@@ -108,8 +108,8 @@ def analyze(fan, name="<memory>", sha256=None, k_max=3, skip_demazure=False,
 
     def symmetry_summary():
         cls = classify_symmetry(fan)
-        aut = fan_automorphisms(fan)
         p = polytope_from_fan(fan)
+        aut = polytope_automorphisms(p)
         aut0 = aut0_subgroup(p, root_data=roots(fan))
         return {
             "aut_p_order": aut.order,

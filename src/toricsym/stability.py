@@ -15,12 +15,7 @@ from .fan import is_fano, polytope_from_fan
 from .latticecount import quantized_barycenter
 from .linalg import dot
 from .polytope import intersect_with_subspace, volume_and_barycenter
-from .symmetry import (
-    dual_group,
-    fan_automorphisms,
-    fixed_subspace,
-    roots,
-)
+from .symmetry import fixed_subspace, polytope_automorphisms, roots
 
 
 def dual_norm(u, p):
@@ -53,7 +48,7 @@ def alpha_invariant(f, h=None):
         raise NonFanoError("alpha invariant requires a Fano fan")
     p = polytope_from_fan(f)
     if h is None:
-        elements = dual_group(fan_automorphisms(f))  # full Aut P
+        elements = polytope_automorphisms(p).elements
     elif hasattr(h, "elements"):
         elements = h.elements  # a subgroup of Aut P, acting on M
     else:

@@ -2,8 +2,9 @@
 
 Aut P is the subgroup of GL(n, Z) preserving the polytope; Aut Delta the
 subgroup preserving the fan.  For a Fano fan the two are exchanged by
-transposition.  Roots are the lattice points in relative interiors of
-facets, split into semisimple and unipotent parts.
+transposition, so Fano paths search Aut P only; `fan_automorphisms` serves
+non-Fano fans and is the oracle for the transpose.  Roots are the lattice
+points in relative interiors of facets, split into semisimple and unipotent.
 """
 
 from dataclasses import dataclass
@@ -21,10 +22,8 @@ from .linalg import (
     dot,
     integer_row,
     invert_rational,
-    invert_unimodular,
     is_unimodular,
     kernel_basis,
-    mat_mul,
     mat_vec,
     rank,
     transpose,
@@ -50,21 +49,30 @@ class LatticeAutGroup:
     def order(self):
         return len(self.elements)
 
-    def index(self, g):
-        return self.elements.index(g)
-
     def check_group_axioms(self):
-        elems = set(self.elements)
-        n = len(self.elements[0])
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        if ident not in elems:
-            raise InvariantViolation("identity missing from automorphism set")
-        for a in self.elements:
-            if tuple(map(tuple, invert_unimodular(a))) not in elems:
-                raise InvariantViolation("automorphism set not closed under inverse")
-            for b in self.elements:
-                if tuple(map(tuple, mat_mul(a, b))) not in elems:
-                    raise InvariantViolation("automorphism set not closed under product")
+        """Closure from greedy generators S, in about |G| * |S| products.
+
+        An element is fixed by its permutation of a spanning set, so the
+        permutations must be distinct and hold the identity, and their
+        closure under S must never leave the set.  It ends as <S>: a group.
+        """
+        perms = self.vertex_permutations
+        elems = set(perms)
+        ident = tuple(range(len(perms[0])))
+        if len(elems) != self.order or ident not in elems:
+            raise InvariantViolation("automorphism permutations repeat or lack the identity")
+        gens, closure = [], {ident}
+        for g in perms:
+            if g not in closure:
+                gens.append(g)
+                # closed under the old generators: times g, then new times all
+                frontier, step = closure, (g,)
+                while frontier:
+                    fresh = {tuple(a[i] for i in s) for a in frontier for s in step}
+                    fresh -= closure
+                    if not fresh <= elems:
+                        raise InvariantViolation("automorphism set not closed under product")
+                    closure, frontier, step = closure | fresh, fresh, gens
         return True
 
 
@@ -140,7 +148,7 @@ def polytope_automorphisms(p):
 
     Frame search seeded by vertex fingerprints (pairings against every
     facet), verified by exact vertex-set preservation, with a final group
-    closure assertion.
+    check on generators.  On a Fano fan Aut Delta is its transpose.
     """
     if not is_lattice_polytope(p):
         raise NonLatticePolytopeError(
@@ -183,7 +191,8 @@ def polytope_automorphisms(p):
 def fan_automorphisms(f):
     """Aut Delta: unimodular maps permuting the rays and the cones.
 
-    For a Fano fan this is checked to be the transpose of Aut P.
+    The route for non-Fano fans; on a Fano fan, an oracle checked to be the
+    transpose of Aut P.
     """
     if not is_complete(f):
         raise ValidationError("fan automorphisms computed for complete fans only")
@@ -241,12 +250,6 @@ def fan_automorphisms(f):
         if transposed != set(dual.elements):
             raise InvariantViolation("Aut Delta is not the transpose of Aut P")
     return group
-
-
-def dual_group(fan_group):
-    """The polytope-side group {g^T : g in Aut Delta} without permutations."""
-    elements = sorted(transpose(g) for g in fan_group.elements)
-    return tuple(elements)
 
 
 def fixed_subspace(group_or_elements):
@@ -341,8 +344,7 @@ def classify_symmetry(f):
     p = polytope_from_fan(f)
     vset = set(p.vertices)
     central = vset == set(tuple(-x for x in v) for v in vset)
-    aut = fan_automorphisms(f)
-    fixed = fixed_subspace(dual_group(aut))
+    fixed = fixed_subspace(polytope_automorphisms(p))
     bs = len(fixed) == 0
     lattice_sym = roots(f).is_centrally_lattice_symmetric()
     return SymmetryClassification(

@@ -21,6 +21,7 @@ from toricsym.demazure import demazure_report
 from toricsym.errors import ValidationError
 from toricsym.families import generate_futaki
 from toricsym.fan import is_complete, is_fano, is_smooth, polytope_from_fan
+from toricsym.linalg import transpose
 from toricsym.latticecount import (
     barycenter_rational_function,
     count_lattice_points,
@@ -33,6 +34,7 @@ from toricsym.symmetry import (
     aut0_subgroup,
     classify_symmetry,
     fan_automorphisms,
+    polytope_automorphisms,
     roots,
 )
 
@@ -286,3 +288,24 @@ def test_criterion_8_futaki_family():
             _, bc = volume_and_barycenter(p)
             zero = (Fraction(0),) * fan.dim
             assert (bc == zero) == (n1 == n2), (n1, n2)
+
+
+def test_dim7_automorphism_groups():
+    # futaki(3,3), dimension 7: the three groups check closure on
+    # generators.  The caches are cleared so that the budget times the
+    # searches, not earlier tests.
+    fan = generate_futaki(3, 3)
+    p = polytope_from_fan(fan)
+    rd = roots(fan)
+    polytope_automorphisms.cache_clear()
+    fan_automorphisms.cache_clear()
+    with Budget("dim-7 Aut P, Aut Delta and Aut_0 P", 4.0):
+        aut_p = polytope_automorphisms(p)
+        aut_delta = fan_automorphisms(fan)
+        aut0 = aut0_subgroup(p, root_data=rd)
+    assert aut_p.order == aut_delta.order == 1152
+    assert {transpose(g) for g in aut_delta.elements} == set(aut_p.elements)
+    assert aut0.order == 576
+    with Budget("dim-7 structure report", 1.0):
+        rep = demazure_report(fan)
+    assert (rep.weyl_order, rep.component_group_order) == (576, 2)

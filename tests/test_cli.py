@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from toricsym import report as rp
 from toricsym.cli import main
 from toricsym.datasets import BUNDLED, bundled_path, load_bundled, nill_paffenholz
 from toricsym.errors import ParseError, ValidationError
+from toricsym.families import generate_futaki
 from toricsym.fan import validate_fan
 from toricsym.fileio import parse_fan_file, parse_polytope_file
 
@@ -87,6 +89,17 @@ def test_cli_analyze_json_roundtrip(tmp_path, capsys):
     assert report["symmetry"]["aut_p_order"] == 6
     assert report["demazure"]["dim_aut0"] == 8
     assert report["chain"]["consistent"] is True
+
+
+def test_analyze_matches_ladder_references():
+    # The dimension-5 fans of the benchmark ladder, which the bundled
+    # self-tests do not reach; only the "input" block depends on the file.
+    ladder = Path(__file__).resolve().parents[1] / "bench" / "references" / "ladder"
+    for a, b in ((2, 2), (1, 3)):
+        got = json.loads(rp.to_json(rp.analyze(generate_futaki(a, b))))
+        ref = json.loads((ladder / f"futaki_{a}_{b}.json").read_text())
+        del got["input"], ref["input"]
+        assert got == ref, (a, b)
 
 
 def test_cli_analyze_deterministic(capsys):

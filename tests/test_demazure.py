@@ -71,8 +71,10 @@ def test_roots_and_graded_dims_match_per_ray_oracle():
     fans += [hirzebruch(a) for a in (2, 3, 4, 5)] + [hirzebruch_times_p1(3)]
     for f in fans:
         assert roots(f) == roots_oracle(f), f.rays
+        reported = dict(demazure_report(f).graded_dims)  # P's points passed in
         for alpha, members in variable_classes(f):
             assert graded_dimension_oracle(f, members) == {graded_dimension(f, alpha)}
+            assert reported[alpha] == graded_dimension(f, alpha)
 
 
 def test_hirzebruch_aut0_dimension():

@@ -3,7 +3,16 @@ from itertools import product
 
 import pytest
 
-from toricsym.errors import NonLatticePolytopeError
+from helpers_groups import (
+    identity_index,
+    pairwise_group_check,
+    with_extra_element,
+    with_repeated_permutation,
+    without_element,
+)
+from toricsym.datasets import BUNDLED, load_bundled
+from toricsym.errors import InvariantViolation, NonLatticePolytopeError
+from toricsym.families import generate_futaki
 from toricsym.fan import Fan, polytope_from_fan
 from toricsym.latticecount import enumerate_lattice_points
 from toricsym.linalg import dot, mat_vec, transpose
@@ -11,13 +20,20 @@ from toricsym.polytope import polytope_from_vertices
 from toricsym.symmetry import (
     aut0_subgroup,
     classify_symmetry,
-    dual_group,
     fan_automorphisms,
     fixed_subspace,
     polytope_automorphisms,
     roots,
     trivial_subgroup,
 )
+
+
+def bundled_and_futaki():
+    """The 8 bundled fans and futaki (2,2), (1,3), (2,3), all Fano."""
+    fans = [(name, load_bundled(name)) for name in BUNDLED]
+    return fans + [
+        (f"futaki_{a}_{b}", generate_futaki(a, b)) for a, b in ((2, 2), (1, 3), (2, 3))
+    ]
 
 
 def brute_force_lattice_maps(point_set, bound=4):
@@ -66,18 +82,41 @@ def test_aut_rejects_rational_polytope():
         polytope_automorphisms(half)
 
 
-def test_group_axioms(del_pezzo_fans):
-    for f in del_pezzo_fans.values():
-        g = polytope_automorphisms(polytope_from_fan(f))
-        assert g.check_group_axioms()
+def test_group_axioms():
+    # The check on generators agrees with the pairwise matrix oracle.
+    for name, f in bundled_and_futaki():
+        p = polytope_from_fan(f)
+        for g in (polytope_automorphisms(p), aut0_subgroup(p), fan_automorphisms(f)):
+            assert g.check_group_axioms() and pairwise_group_check(g), name
 
 
-def test_fan_aut_matches_polytope_aut(del_pezzo_fans):
-    for name, f in del_pezzo_fans.items():
+def test_group_check_rejects_non_groups():
+    for f in (load_bundled("p1xp1"), generate_futaki(2, 2)):
+        p = polytope_from_fan(f)
+        full = polytope_automorphisms(p)
+        e = identity_index(full)
+        for bad in (
+            without_element(full, (e + 1) % full.order),
+            without_element(full, e),
+            with_extra_element(aut0_subgroup(p), full),
+        ):
+            with pytest.raises(InvariantViolation):
+                bad.check_group_axioms()
+            with pytest.raises(InvariantViolation):
+                pairwise_group_check(bad)
+        # The matrices still form a group; only the permutations repeat.
+        with pytest.raises(InvariantViolation, match="repeat"):
+            with_repeated_permutation(full).check_group_axioms()
+
+
+def test_fan_aut_matches_polytope_aut():
+    # The Fano paths search Aut P only, so the transpose identity is kept
+    # checked here.
+    for name, f in bundled_and_futaki():
         gf = fan_automorphisms(f)  # transpose duality asserted inside
         gp = polytope_automorphisms(polytope_from_fan(f))
         assert gf.order == gp.order, name
-        assert {transpose(g) for g in gf.elements} == set(gp.elements)
+        assert {transpose(g) for g in gf.elements} == set(gp.elements), name
 
 
 def test_fan_aut_weighted_112(w112_fan):
@@ -106,12 +145,12 @@ def test_fan_aut_weighted_112(w112_fan):
 
 
 def test_fixed_subspace_p2(p2_fan):
-    g = dual_group(fan_automorphisms(p2_fan))
+    g = polytope_automorphisms(polytope_from_fan(p2_fan)).elements
     assert fixed_subspace(g) == ()
 
 
 def test_fixed_subspace_dp1(dp1_fan):
-    g = dual_group(fan_automorphisms(dp1_fan))
+    g = polytope_automorphisms(polytope_from_fan(dp1_fan)).elements
     assert fixed_subspace(g) == ((1, 1),)
 
 
@@ -184,7 +223,7 @@ def test_roots_equal_facet_interior_points(del_pezzo_fans, fano52_fan):
 def test_aut_permutes_root_sets(del_pezzo_fans):
     for f in del_pezzo_fans.values():
         rd = roots(f)
-        for g in dual_group(fan_automorphisms(f)):
+        for g in polytope_automorphisms(polytope_from_fan(f)).elements:
             for part in (rd.root_set,
                          frozenset(m for m, _ in rd.semisimple),
                          frozenset(m for m, _ in rd.unipotent)):
@@ -239,5 +278,5 @@ def test_aut0_dp1_is_full_group(dp1_fan):
 
 def test_fan_aut_fano52(fano52_fan):
     g = fan_automorphisms(fano52_fan)
-    fixed = fixed_subspace(dual_group(g))
+    fixed = fixed_subspace([transpose(h) for h in g.elements])
     assert len(fixed) == 1  # alpha < 1 comes from this one fixed line
