@@ -63,11 +63,9 @@ from .linalg import (
 from .polytope import (
     HPolytope,
     Polytope,
-    SubspaceSlice,
     VPolytope,
     contains,
     dilate,
-    intersect_with_subspace,
     is_lattice_polytope,
     polytope_from_vertices,
     vertices_from_inequalities,

@@ -66,18 +66,24 @@ class ChainReport:
 def verify_implication_chain(f, k_budget=None):
     """Evaluate every chain node exactly and check every implication.
 
-    `k_budget` bounds the quantized barycenters computed directly; at
-    least n+1 are always needed (and suffice) to decide nodes 4-6.
+    Bc_k is computed for k = 1..k_budget, and on up to n+1 only while every
+    value so far vanishes: one nonzero value decides nodes 4-6, and n+1
+    vanishing values are needed (and suffice) for the other verdict.
     """
     if not is_fano(f):
         raise NonFanoError("chain verification requires a Fano fan")
     n = f.dim
-    kmax = max(k_budget or 0, n + 1)
+    budget = k_budget or 0
     p = polytope_from_fan(f)
     cls = classify_symmetry(f)
     alpha = alpha_invariant(f)
     zero = (Fraction(0),) * n
-    quantized = tuple((k, quantized_barycenter(p, k)) for k in range(1, kmax + 1))
+    quantized = []
+    for k in range(1, max(budget, n + 1) + 1):
+        if k > budget and any(bc != zero for _, bc in quantized):
+            break
+        quantized.append((k, quantized_barycenter(p, k)))
+    quantized = tuple(quantized)
     all_vanish = all(bc == zero for _, bc in quantized)
     if all_vanish:
         verdict = rigidity_verdict(p, [k for k, _ in quantized[: n + 1]])

@@ -132,6 +132,7 @@ def ray_problems(f):
 def validate_fan(f):
     """Check ray primitivity, strong convexity, and the two fan axioms.
 
+    Maximal cones must not repeat or lie inside one another by ray set.
     Failures are reported, not raised; `problems` lists human-readable
     reasons including the offending cone pairs.
     """
@@ -140,6 +141,10 @@ def validate_fan(f):
         gens = [f.rays[i] for i in cone]
         if not _is_strongly_convex(gens, f.dim):
             problems.append(f"cone {ci} is not strongly convex")
+    ray_sets = [set(cone) for cone in f.max_cones]
+    for ci, cj in combinations(range(len(ray_sets)), 2):
+        if ray_sets[ci] <= ray_sets[cj] or ray_sets[cj] <= ray_sets[ci]:
+            problems.append(f"cones {ci} and {cj} repeat or contain one another")
     if not problems:
         hreps = [
             cone_facet_normals([f.rays[i] for i in cone], f.dim)
@@ -264,17 +269,11 @@ def polytope_from_fan(f):
 def is_fano(f):
     """Reflexivity test: the operating notion of (Gorenstein) Fano.
 
-    Requires: every ray is a vertex of conv(rays), the anticanonical
-    polytope is a lattice polytope, and its facets biject with the rays
-    (no inequality is redundant or duplicated).
+    Requires: the anticanonical polytope is a lattice polytope and its
+    facets biject with the rays (no inequality is redundant or duplicated).
+    By polar duality a ray is then a vertex of conv(rays).
     """
     if not is_complete(f):
-        return False
-    try:
-        hull = polytope_from_vertices(f.rays)
-    except ValidationError:
-        return False
-    if len(hull.vertices) != len(f.rays):
         return False
     p = polytope_from_fan(f)
     if p.dropped_inequalities:

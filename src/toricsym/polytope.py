@@ -404,63 +404,3 @@ def volume_and_barycenter(p):
     if total == 0:
         raise ValidationError("degenerate polytope")
     return total, tuple(m / total for m in moment)
-
-
-@dataclass(frozen=True)
-class SubspaceSlice:
-    """A slice P intersect span(basis), in basis coordinates.
-
-    `polytope` is None exactly when the slice degenerated to the single
-    point 0 (`is_point` True) or to nothing (`is_point` False).
-    `ambient_vertices` maps the slice vertices back into ambient space;
-    downstream norms are always taken there.
-    """
-
-    ambient_dim: int
-    basis: tuple
-    polytope: object
-    is_point: bool
-
-    @property
-    def is_empty(self):
-        return self.polytope is None and not self.is_point
-
-    def ambient_vertices(self):
-        if self.polytope is None:
-            if self.is_point:
-                return ((Fraction(0),) * self.ambient_dim,)
-            return ()
-        out = []
-        for t in self.polytope.vertices:
-            amb = [Fraction(0)] * self.ambient_dim
-            for coeff, bvec in zip(t, self.basis):
-                for j, b in enumerate(bvec):
-                    amb[j] += coeff * Fraction(b)
-            out.append(tuple(amb))
-        return tuple(out)
-
-
-def intersect_with_subspace(p, basis):
-    """Slice P by the span of the given linearly independent vectors."""
-    n = p.dim
-    basis = tuple(_frac_vec(b) for b in basis)
-    zero_inside = contains(p, (0,) * n)
-    if not basis:
-        return SubspaceSlice(ambient_dim=n, basis=(), polytope=None, is_point=zero_inside)
-    if rank(basis) != len(basis):
-        raise ValidationError("basis vectors are linearly dependent")
-    s = len(basis)
-    rows = []
-    for a, rhs in p.inequalities:
-        coeffs = tuple(dot(_frac_vec(a), b) for b in basis)
-        if all(c == 0 for c in coeffs):
-            if rhs < 0:
-                return SubspaceSlice(ambient_dim=n, basis=basis, polytope=None, is_point=False)
-            continue
-        coeffs, den = integer_row(coeffs)
-        rows.append((coeffs, Fraction(rhs) * den))
-    try:
-        sliced = vertices_from_inequalities(HPolytope(dim=s, inequalities=tuple(rows)))
-    except ValidationError:
-        return SubspaceSlice(ambient_dim=n, basis=basis, polytope=None, is_point=zero_inside)
-    return SubspaceSlice(ambient_dim=n, basis=basis, polytope=sliced, is_point=False)

@@ -55,7 +55,7 @@ def _stage(report, key, fn, enabled=True):
 
 
 def analyze(fan, name="<memory>", sha256=None, k_max=3, skip_demazure=False,
-            skip_ehrhart=False, k_budget=None):
+            skip_ehrhart=False):
     """Run the full pipeline on a fan and return a JSON-ready dict."""
     report = {
         "input": {"name": name, "sha256": sha256},
@@ -160,7 +160,7 @@ def analyze(fan, name="<memory>", sha256=None, k_max=3, skip_demazure=False,
     _stage(report, "demazure", demazure_summary, enabled=not skip_demazure)
 
     def chain_summary():
-        cr = verify_implication_chain(fan, k_budget=k_budget or k_max)
+        cr = verify_implication_chain(fan, k_budget=k_max)
         return {
             "nodes": {name: val for name, val in cr.nodes},
             "consistent": cr.consistent,

@@ -1,10 +1,11 @@
 """Stability thresholds and canonical-metric verdicts.
 
 Everything here is a closed combinatorial formula: the alpha invariant is
-a gauge maximum over the fixed-point slice of the polytope, and the delta
-thresholds pair barycenters against the ray generators.  No analysis is
-performed; existence verdicts are exactly the vanishing conditions they
-are equivalent to.
+a gauge maximum over the group averages of the vertices, whose hull is
+the fixed-point slice of the polytope, and the delta thresholds pair
+barycenters against the ray generators.  No analysis is performed;
+existence verdicts are exactly the vanishing conditions they are
+equivalent to.
 """
 
 from dataclasses import dataclass
@@ -13,9 +14,9 @@ from fractions import Fraction
 from .errors import NonFanoError, ValidationError
 from .fan import is_fano, polytope_from_fan
 from .latticecount import quantized_barycenter
-from .linalg import dot
-from .polytope import intersect_with_subspace, volume_and_barycenter
-from .symmetry import fixed_subspace, polytope_automorphisms, roots
+from .linalg import dot, mat_vec
+from .polytope import volume_and_barycenter
+from .symmetry import group_sum, polytope_automorphisms, roots
 
 
 def dual_norm(u, p):
@@ -37,33 +38,24 @@ def dual_norm(u, p):
 
 
 def alpha_invariant(f, h=None):
-    """Tian-type threshold for the group generated by H and the real torus.
+    """Tian-type threshold for the group G generated by H and the real torus.
 
-    alpha = 1/(1 + max over P^H of the gauge); the maximum of a convex
-    function over a polytope is attained at a vertex, so only the
-    (finitely many) vertices of the fixed slice are scanned.  Equals 1
-    exactly when the fixed slice is {0}.
+    alpha = 1/(1 + max over P^G of the gauge).  With S the sum of the
+    elements of G, S/|G| maps P onto its fixed slice P^G, so P^G is the
+    hull of the averages S.v/|G| of the vertices v, and the convex gauge
+    peaks at one of them.  Equals 1 exactly when P^G = {0}.  H (a group or
+    elements) must lie in Aut P; by default G = Aut P.
     """
     if not is_fano(f):
         raise NonFanoError("alpha invariant requires a Fano fan")
     p = polytope_from_fan(f)
-    if h is None:
-        elements = polytope_automorphisms(p).elements
-    elif hasattr(h, "elements"):
-        elements = h.elements  # a subgroup of Aut P, acting on M
-    else:
-        elements = tuple(h)
-    basis = fixed_subspace(elements)
-    if not basis:
-        return Fraction(1)
-    sl = intersect_with_subspace(p, basis)
-    if sl.polytope is None:
-        return Fraction(1)
-    best = Fraction(0)
-    for v in sl.ambient_vertices():
-        val = dual_norm(v, p)
-        if val > best:
-            best = val
+    group = polytope_automorphisms(p)
+    if h is not None:
+        group = group.generated_by(getattr(h, "elements", h))
+    s = group_sum(group)
+    best = max(
+        dual_norm(tuple(x / group.order for x in mat_vec(s, v)), p) for v in p.vertices
+    )
     return Fraction(1) / (1 + best)
 
 

@@ -3,8 +3,9 @@
 Aut P is the subgroup of GL(n, Z) preserving the polytope; Aut Delta the
 subgroup preserving the fan.  For a Fano fan the two are exchanged by
 transposition, so Fano paths search Aut P only; `fan_automorphisms` serves
-non-Fano fans and is the oracle for the transpose.  Roots are the lattice
-points in relative interiors of facets, split into semisimple and unipotent.
+non-Fano fans and is the oracle for the transpose.  Fixed points come from
+the group sum S: dim V^G = tr(S)/|G|.  Roots are the lattice points in
+relative interiors of facets, split into semisimple and unipotent.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,6 @@ from .linalg import (
     dot,
     integer_row,
     invert_rational,
-    is_unimodular,
     kernel_basis,
     mat_vec,
     rank,
@@ -61,19 +61,48 @@ class LatticeAutGroup:
         ident = tuple(range(len(perms[0])))
         if len(elems) != self.order or ident not in elems:
             raise InvariantViolation("automorphism permutations repeat or lack the identity")
-        gens, closure = [], {ident}
-        for g in perms:
-            if g not in closure:
-                gens.append(g)
-                # closed under the old generators: times g, then new times all
-                frontier, step = closure, (g,)
-                while frontier:
-                    fresh = {tuple(a[i] for i in s) for a in frontier for s in step}
-                    fresh -= closure
-                    if not fresh <= elems:
-                        raise InvariantViolation("automorphism set not closed under product")
-                    closure, frontier, step = closure | fresh, fresh, gens
+        _closure(perms, ident, elems)
         return True
+
+    def generated_by(self, elements):
+        """The subgroup generated by `elements`, each of which must lie here.
+
+        Its closure is grown on the permutations, as in `check_group_axioms`.
+        """
+        perms = self.vertex_permutations
+        perm_of = dict(zip(self.elements, perms))
+        try:
+            gens = [perm_of[tuple(map(tuple, g))] for g in elements]
+        except KeyError:
+            raise ValidationError("an element does not lie in the group") from None
+        closure = _closure(gens, tuple(range(len(perms[0]))), set(perms))
+        keep = [i for i, q in enumerate(perms) if q in closure]
+        return LatticeAutGroup(
+            elements=tuple(self.elements[i] for i in keep),
+            vertex_permutations=tuple(perms[i] for i in keep),
+            facet_permutations=tuple(self.facet_permutations[i] for i in keep),
+        )
+
+
+def _closure(perms, ident, inside):
+    """<S> for generators S picked greedily from `perms`.
+
+    The closure grows by right multiplication by S, level by level, and
+    raises at the first product outside `inside`.
+    """
+    gens, closure = [], {ident}
+    for g in perms:
+        if g not in closure:
+            gens.append(g)
+            # closed under the old generators: times g, then new times all
+            frontier, step = closure, (g,)
+            while frontier:
+                fresh = {tuple(a[i] for i in s) for a in frontier for s in step}
+                fresh -= closure
+                if not fresh <= inside:
+                    raise InvariantViolation("automorphism set not closed under product")
+                closure, frontier, step = closure | fresh, fresh, gens
+    return closure
 
 
 def _perm_of(mapped, index_of):
@@ -85,7 +114,8 @@ def _search_lattice_maps(points, pair_profiles, fingerprints, n):
 
     A frame of n linearly independent points is fixed; candidate images
     are pruned by per-point fingerprints and pairwise profiles before the
-    matrix is solved and checked exactly.
+    matrix is solved and checked exactly.  An integral matrix permuting a
+    spanning set has finite order, so its determinant is +-1.
     """
     m = len(points)
     frame = []
@@ -114,8 +144,6 @@ def _search_lattice_maps(points, pair_profiles, fingerprints, n):
                     return
                 sigma.append(tuple(q for q, _ in entries))
             sigma = tuple(sigma)
-            if not is_unimodular(sigma):
-                return
             mapped = [tuple(mat_vec(sigma, p)) for p in points]
             if set(mapped) != point_set:
                 return
@@ -156,7 +184,8 @@ def polytope_automorphisms(p):
         )
     n = p.dim
     verts = tuple(tuple(int(x) for x in v) for v in p.vertices)
-    facets = p.inequalities
+    # integral normals and vertices: the right-hand sides are integers
+    facets = [(a, int(rhs)) for a, rhs in p.inequalities]
     fingerprints = [
         tuple(sorted((dot(a, v), rhs) for a, rhs in facets)) for v in verts
     ]
@@ -270,6 +299,27 @@ def fixed_subspace(group_or_elements):
     return kernel_basis(rows)
 
 
+def group_sum(group):
+    """S, the sum of the elements of a finite group G.
+
+    S/|G| is a projection onto the fixed subspace V^G; it maps a G-invariant
+    polytope P onto its fixed slice P cap V^G.
+    """
+    n = len(group.elements[0])
+    return tuple(
+        tuple(sum(g[i][j] for g in group.elements) for j in range(n)) for i in range(n)
+    )
+
+
+def fixed_space_dimension(group):
+    """dim V^G = tr(S)/|G|, the trace of the projection S/|G|."""
+    s = group_sum(group)
+    trace = sum(s[i][i] for i in range(len(s)))
+    if trace % group.order:
+        raise InvariantViolation("trace of the group sum is not a multiple of |G|")
+    return trace // group.order
+
+
 @dataclass(frozen=True)
 class RootData:
     """Roots m with <m, v> = -1 on exactly one ray and >= 0 elsewhere.
@@ -344,14 +394,13 @@ def classify_symmetry(f):
     p = polytope_from_fan(f)
     vset = set(p.vertices)
     central = vset == set(tuple(-x for x in v) for v in vset)
-    fixed = fixed_subspace(polytope_automorphisms(p))
-    bs = len(fixed) == 0
+    fixed = fixed_space_dimension(polytope_automorphisms(p))
     lattice_sym = roots(f).is_centrally_lattice_symmetric()
     return SymmetryClassification(
         centrally_symmetric=central,
-        bs_symmetric=bs,
+        bs_symmetric=fixed == 0,
         centrally_lattice_symmetric=lattice_sym,
-        fixed_space_dimension=len(fixed),
+        fixed_space_dimension=fixed,
     )
 
 

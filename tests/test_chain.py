@@ -54,3 +54,15 @@ def test_chain_uses_enough_dilations(dp3_fan):
     cr = verify_implication_chain(dp3_fan, 1)
     assert len(cr.quantized) >= dp3_fan.dim + 1
     assert cr.consistent
+
+
+def test_chain_stops_at_its_first_witness(dp1_fan, dp3_fan):
+    # Bc_1 != 0 on dp1 decides nodes 4-6, so nothing past the budget is
+    # computed; on dp3 every Bc_k vanishes, so the chain goes on to n+1.
+    for budget, computed in ((None, 1), (1, 1), (3, 3)):
+        cr = verify_implication_chain(dp1_fan, budget)
+        assert [k for k, _ in cr.quantized] == list(range(1, computed + 1))
+        assert not cr.node("bck_zero_all_k") and cr.consistent
+    cr = verify_implication_chain(dp3_fan, 1)
+    assert [k for k, _ in cr.quantized] == [1, 2, 3]
+    assert cr.node("bck_zero_all_k")

@@ -55,6 +55,18 @@ def test_parse_rejects_explicit_cones_without_common_face(tmp_path):
         parse_fan_file(str(bad))
 
 
+def test_cli_rejects_repeated_or_nested_cones(tmp_path, capsys):
+    # Listed twice, the cone 0 2 would count each of its facets three times
+    # in the completeness test; a face listed as a maximal cone likewise.
+    header = "dim 2\nrays 3\n1 0\n0 1\n-1 -1\n"
+    for cones in ("cones 4\n0 1\n1 2\n0 2\n0 2\n", "cones 4\n0 1\n1 2\n0 2\n2\n"):
+        bad = tmp_path / "bad.fan"
+        bad.write_text(header + cones)
+        assert main(["verify-chain", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert "cones 2 and 3 repeat or contain one another" in err
+
+
 def test_parse_reports_line_numbers(tmp_path):
     bad = tmp_path / "bad.fan"
     bad.write_text("dim 2\nrays 2\n1 0\nx 1\n")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import toricsym.fan as fan_module
-from toricsym.datasets import load_bundled
+from toricsym.datasets import BUNDLED, load_bundled
 from toricsym.errors import UnboundedPolytopeError, ValidationError
 from toricsym.fan import (
     Fan,
@@ -17,6 +17,7 @@ from toricsym.fan import (
     polytope_from_fan,
     validate_fan,
 )
+from toricsym.polytope import is_lattice_polytope, polytope_from_vertices
 from toricsym.report import analyze
 
 def test_validate_p2(p2_fan):
@@ -158,6 +159,54 @@ def test_is_fano_rejects_non_gorenstein():
     f = Fan.from_rays([(1, 0), (0, 1), (-1, -3)])
     assert is_complete(f) and is_simplicial(f)
     assert not is_fano(f)
+
+
+def hull_is_fano(f):
+    """The reflexivity test with the ray hull that `is_fano` dropped."""
+    if not is_complete(f):
+        return False
+    if len(polytope_from_vertices(f.rays).vertices) != len(f.rays):
+        return False
+    p = polytope_from_fan(f)
+    if p.dropped_inequalities or len(p.inequalities) != len(f.rays):
+        return False
+    return is_lattice_polytope(p)
+
+
+def hirzebruch(a):
+    return Fan.make(
+        2, [(1, 0), (0, 1), (-1, a), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)]
+    )
+
+
+def times_p1(f):
+    rays = [r + (0,) for r in f.rays] + [(0,) * f.dim + (1,), (0,) * f.dim + (-1,)]
+    top, bottom = len(f.rays), len(f.rays) + 1
+    cones = [c + (t,) for c in f.max_cones for t in (top, bottom)]
+    return Fan.make(f.dim + 1, rays, cones)
+
+
+def test_is_fano_matches_ray_hull_test():
+    # By polar duality a ray is a vertex of conv(rays) exactly when its
+    # anticanonical row is a facet, so the dropped rows decide the hull test.
+    fans = {name: load_bundled(name) for name in BUNDLED}
+    fans.update({f"F{a}": hirzebruch(a) for a in range(5)})
+    fans["P(1,1,3)"] = Fan.from_rays([(1, 0), (0, 1), (-1, -3)])
+    fans["F3xP1"] = times_p1(hirzebruch(3))
+    fans["F2xP1"] = times_p1(hirzebruch(2))  # (0,1,0) lies on an edge
+    fans["ray on an edge"] = Fan.make(
+        2,
+        [(1, 0), (1, 2), (0, 1), (-1, 0), (0, -1)],
+        [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
+    )
+    verdicts = {}
+    for name, f in fans.items():
+        assert validate_fan(f).ok, name
+        verdicts[name] = is_fano(f)
+        assert verdicts[name] == hull_is_fano(f), name
+    assert verdicts["F0"] and verdicts["F1"] and verdicts["p2"]
+    assert not any(verdicts[k] for k in ("F2", "F3", "F4", "F3xP1", "F2xP1"))
+    assert not verdicts["P(1,1,3)"] and not verdicts["ray on an edge"]
 
 
 def test_reflexive_duality_roundtrip(del_pezzo_fans, w112_fan):

@@ -1,11 +1,12 @@
-"""Identities of the H- and V-descriptions and of the lattice scan under
-random GL(n, Z) maps.
+"""Identities of the H- and V-descriptions, of the lattice scan and of the
+symmetry invariants under random GL(n, Z) maps.
 
 For a unimodular A, the facets of A.P are the A^-T images of the facets of
 P, with the same right-hand sides and the same incidences, and the vertex
 description computed back from the facets is the one we started from.
 The lattice points of k(A.P) are the A-images of those of kP, so the scan
-finds as many and their coordinate sums map by A.
+finds as many and their coordinate sums map by A.  Aut P is conjugated by
+A, so alpha and dim V^G = tr(S)/|G| do not change.
 """
 
 from functools import lru_cache
@@ -17,13 +18,15 @@ from hypothesis import given, settings, strategies as st
 
 from helpers_reflexive import random_unimodular
 from toricsym.datasets import load_bundled
-from toricsym.fan import polytope_from_fan
+from toricsym.fan import Fan, polytope_from_fan
 from toricsym.latticecount import plan_count_and_sum, plan_for_polytope
 from toricsym.linalg import invert_unimodular, mat_vec, transpose
 from toricsym.polytope import (
     polytope_from_vertices,
     vertices_from_inequalities,
 )
+from toricsym.stability import alpha_invariant
+from toricsym.symmetry import classify_symmetry
 
 BUNDLED = (
     "p2", "p1xp1", "dp1", "dp2", "dp3", "fano3fold_5_2", "futaki_1_2", "weighted_112",
@@ -84,3 +87,13 @@ def test_lattice_scan_of_unimodular_image(p, k, rng):
     count, sums = plan_count_and_sum(plan_for_polytope(p), k)
     image = polytope_from_vertices([mat_vec(a, v) for v in p.vertices])
     assert plan_count_and_sum(plan_for_polytope(image), k) == (count, mat_vec(a, sums))
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(BUNDLED), rng=st.randoms(use_true_random=False))
+def test_alpha_and_fixed_dimension_of_unimodular_image(name, rng):
+    f = load_bundled(name)
+    a = random_unimodular(rng, size=8, n=f.dim)
+    image = Fan.make(f.dim, [mat_vec(a, r) for r in f.rays], f.max_cones)
+    assert alpha_invariant(image) == alpha_invariant(f)
+    assert classify_symmetry(image) == classify_symmetry(f)

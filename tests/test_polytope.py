@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from helpers_slice import intersect_with_subspace
 from test_acceptance import Budget
 from toricsym.errors import UnboundedPolytopeError, ValidationError
 from toricsym.fan import Fan, is_complete, polytope_from_fan
@@ -12,7 +13,6 @@ from toricsym.polytope import (
     HPolytope,
     contains,
     dilate,
-    intersect_with_subspace,
     is_lattice_polytope,
     polytope_from_vertices,
     translate,

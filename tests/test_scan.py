@@ -81,8 +81,9 @@ def test_rigidity_verdict_scans_each_dilation_once(monkeypatch):
 def test_analyze_scans_each_dilation_once(monkeypatch):
     calls = scanned_dilations(monkeypatch)
     analyze(load_bundled("futaki_1_2"), name="futaki_1_2")
-    # A 3-fold: the samples k = 1..n+1 and the chain's check at n+2.
-    assert calls == Counter(range(1, 6))
+    # A 4-fold with Bc_1 != 0: k = 1..4 for the Ehrhart samples (k_max = 3
+    # and the chain share 1..3); the chain stops at its first witness.
+    assert calls == Counter(range(1, 5))
 
 
 def test_seven_dimensional_scan_at_scale():

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-
-from toricsym.errors import NonFanoError
+from helpers_slice import intersect_with_subspace, slice_alpha
+from toricsym.datasets import BUNDLED, load_bundled
+from toricsym.errors import NonFanoError, ValidationError
+from toricsym.families import generate_futaki
 from toricsym.fan import Fan, polytope_from_fan
-from toricsym.polytope import contains, intersect_with_subspace
+from toricsym.latticecount import quantized_barycenter
+from toricsym.polytope import contains
 from toricsym.stability import (
     alpha_invariant,
     delta_invariant,
@@ -13,8 +16,10 @@ from toricsym.stability import (
     dual_norm,
     metric_verdicts,
 )
-from toricsym.latticecount import quantized_barycenter
 from toricsym.symmetry import (
+    aut0_subgroup,
+    classify_symmetry,
+    fixed_space_dimension,
     fixed_subspace,
     polytope_automorphisms,
     trivial_subgroup,
@@ -124,11 +129,38 @@ def test_alpha_antitone_in_subgroup(del_pezzo_fans, p1xp1_fan):
     swap = ((0, 1), (1, 0))
     a_swap = alpha_invariant(p1xp1_fan, (ident, swap))
     assert a_swap == Fraction(1, 2)
+    # H generates the group it names: the swap alone gives {id, swap}.
+    assert alpha_invariant(p1xp1_fan, (swap,)) == a_swap
     assert (
         alpha_invariant(p1xp1_fan, (ident,))
         <= a_swap
         <= alpha_invariant(p1xp1_fan)
     )
+
+
+def test_alpha_rejects_elements_outside_aut(p1xp1_fan, dp2_fan):
+    swap = ((0, 1), (1, 0))
+    with pytest.raises(ValidationError):
+        alpha_invariant(p1xp1_fan, (swap, ((1, 1), (0, 1))))
+    with pytest.raises(ValidationError):
+        alpha_invariant(dp2_fan, (((0, -1), (1, 0)),))
+
+
+def test_alpha_and_fixed_dimension_match_slice_oracle():
+    # 8 bundled fans and five futaki fans, each with Aut P, Aut_0 P and the
+    # trivial group: the group sum agrees with the kernel-and-slice route.
+    fans = [(name, load_bundled(name)) for name in BUNDLED] + [
+        (f"futaki_{a}_{b}", generate_futaki(a, b))
+        for a, b in ((1, 1), (2, 2), (1, 3), (2, 3), (3, 3))
+    ]
+    for name, f in fans:
+        p = polytope_from_fan(f)
+        full = polytope_automorphisms(p)
+        assert classify_symmetry(f).fixed_space_dimension == len(fixed_subspace(full))
+        for g in (full, aut0_subgroup(p), trivial_subgroup(f.dim)):
+            expected = slice_alpha(p, g.elements)
+            got = (alpha_invariant(f, g), fixed_space_dimension(g))
+            assert got == expected, (name, g.order)
 
 
 def test_alpha_one_iff_trivial_fixed_slice(del_pezzo_fans, fano52_fan):

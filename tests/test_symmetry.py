@@ -11,17 +11,19 @@ from helpers_groups import (
     without_element,
 )
 from toricsym.datasets import BUNDLED, load_bundled
-from toricsym.errors import InvariantViolation, NonLatticePolytopeError
+from toricsym.errors import InvariantViolation, NonLatticePolytopeError, ValidationError
 from toricsym.families import generate_futaki
 from toricsym.fan import Fan, polytope_from_fan
 from toricsym.latticecount import enumerate_lattice_points
-from toricsym.linalg import dot, mat_vec, transpose
-from toricsym.polytope import polytope_from_vertices
+from toricsym.linalg import det, dot, mat_vec, transpose
+from toricsym.polytope import polytope_from_vertices, volume_and_barycenter
 from toricsym.symmetry import (
     aut0_subgroup,
     classify_symmetry,
     fan_automorphisms,
+    fixed_space_dimension,
     fixed_subspace,
+    group_sum,
     polytope_automorphisms,
     roots,
     trivial_subgroup,
@@ -88,6 +90,9 @@ def test_group_axioms():
         p = polytope_from_fan(f)
         for g in (polytope_automorphisms(p), aut0_subgroup(p), fan_automorphisms(f)):
             assert g.check_group_axioms() and pairwise_group_check(g), name
+            # The frame search keeps no determinant filter: an integral map
+            # permuting a spanning set has finite order.
+            assert all(det(e) in (1, -1) for e in g.elements), name
 
 
 def test_group_check_rejects_non_groups():
@@ -158,6 +163,35 @@ def test_fixed_subspace_trivial_group():
     g = trivial_subgroup(2)
     basis = fixed_subspace(g)
     assert len(basis) == 2
+
+
+def test_group_sum_fixes_the_barycenter():
+    # Bc(P) is fixed by Aut P, so S.Bc = |G|.Bc; S/|G| is a projection of
+    # trace dim V^G, the length of the kernel basis.
+    for name in BUNDLED:
+        p = polytope_from_fan(load_bundled(name))
+        for g in (polytope_automorphisms(p), aut0_subgroup(p), trivial_subgroup(p.dim)):
+            s = group_sum(g)
+            _, bc = volume_and_barycenter(p)
+            assert mat_vec(s, bc) == tuple(g.order * x for x in bc), name
+            assert fixed_space_dimension(g) == len(fixed_subspace(g)), name
+
+
+def test_generated_by_closes_generators_inside_the_group(p1xp1_fan, dp2_fan):
+    full = polytope_automorphisms(polytope_from_fan(p1xp1_fan))
+    swap, minus = ((0, 1), (1, 0)), ((-1, 0), (0, -1))
+    assert full.generated_by([swap]).order == 2
+    assert full.generated_by([swap, minus]).order == 4
+    assert full.generated_by([swap, ((0, -1), (1, 0))]) == full
+    assert full.generated_by([]).elements == (((1, 0), (0, 1)),)
+    for bad in (((1, 1), (0, 1)), ((2, 0), (0, 1)), ((1, 0, 0), (0, 1, 0))):
+        with pytest.raises(ValidationError):
+            full.generated_by([swap, bad])
+    # The swap lies in Aut P of dp2 but the rotation of the square does not.
+    dp2 = polytope_automorphisms(polytope_from_fan(dp2_fan))
+    assert dp2.generated_by([[[0, 1], [1, 0]]]).order == 2
+    with pytest.raises(ValidationError):
+        dp2.generated_by([((0, -1), (1, 0))])
 
 
 def test_roots_p2(p2_fan):
