@@ -10,6 +10,17 @@ inside the loop of the level above, and each upper level adds its
 coordinate times a subtree count, which is what makes dilations of
 7-dimensional polytopes tractable.
 
+A subtree is also scanned once per distinct state.  On entry to level j,
+the subtree's count and its sums of x_j..x_{n-1} depend on the prefix
+x_0..x_{j-1} only through the residuals of the rows at levels >= j with a
+nonzero coefficient on that prefix, and those are fixed by the residuals
+of a basis of the rows' prefix forms.  Two prefixes can reach one state
+only when that basis has fewer than j forms (rank < j).  The plan records
+once which levels meet this rank condition, and a scan memoizes them by
+the basis residuals.  Bundles and products such as futaki(3,3) have such
+levels; the bundled fans and the criterion-4 polytopes have none, so
+their scans run the plain loop.
+
 One plan of P serves every dilation.  Its counts give the Ehrhart
 polynomial, and its coordinate sums, which are polynomials in k as well
 (weighted Ehrhart theory), give the barycenter rational function.
@@ -20,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvariantViolation, NonLatticePolytopeError, ValidationError
-from .linalg import solve_rational
+from .linalg import independent_rows, solve_rational
 from .polytope import is_lattice_polytope, polytope_from_vertices, volume_and_barycenter
 
 
@@ -44,12 +55,35 @@ class EnumerationPlan:
     `bench/tracer.py` still reads it.  `scans` memoizes
     (count, sums) by k for this plan, so each dilation is scanned once
     however many operations ask for it.
+
+    `memo_keys` is derived from `levels` when the plan is made.  For a
+    level 1 <= j <= n-2 (the levels a scan enters by a call), take the
+    rows at levels >= j with a nonzero coefficient on x_0..x_{j-1}.  When
+    their prefix forms have rank < j, `memo_keys[j]` holds the
+    (level, row) pairs of the first basis of those forms, whose residuals
+    are the state a scan memoizes level j by.  Otherwise distinct
+    prefixes give distinct states, and `memo_keys[j]` is None.
     """
 
     dim: int
     levels: tuple  # levels[j]: tuple of PlanRow with len(coeffs) == j+1
     constants: tuple = ()
     scans: dict = field(default_factory=dict, compare=False, repr=False)
+    memo_keys: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        keys = [None] * self.dim
+        for j in range(1, self.dim - 1):
+            rows = [
+                (jj, r)
+                for jj in range(j, self.dim)
+                for r, row in enumerate(self.levels[jj])
+                if any(row.coeffs[:j])
+            ]
+            basis = independent_rows([self.levels[jj][r].coeffs[:j] for jj, r in rows])
+            if len(basis) < j:
+                keys[j] = tuple(rows[i] for i in basis)
+        object.__setattr__(self, "memo_keys", tuple(keys))
 
 
 def build_plan(p):
@@ -136,6 +170,12 @@ def plan_count_and_sum(plan, k):
     exact over every real point of the projection below, but over an
     integer prefix it may hold no integer, so a prefix with h < l (or a
     level with lo > hi) counts nothing.
+
+    A level with `plan.memo_keys[j]` keeps, for this call only, one entry
+    per distinct state (the residuals of those rows on entry): the
+    subtree's count and what it added to sums[j:].  A state seen before
+    adds the stored sums and returns the stored count without a scan.
+    Other levels pay an `is not None` test on entry and on exit.
     """
     n = plan.dim
     divisors, res, updates = _scan_setup(plan, k)
@@ -148,8 +188,19 @@ def plan_count_and_sum(plan, k):
     penultimate = n - 2
     last_res = res[n - 1]
     last_rows = list(enumerate(divisors[n - 1]))
+    keys = [None if rows is None else [(res[jj], r) for jj, r in rows] for rows in plan.memo_keys]
+    memo = [{} for _ in range(n)]
 
     def rec(j):
+        key_rows = keys[j]
+        if key_rows is not None:
+            key = tuple([lst[r] for lst, r in key_rows])
+            hit = memo[j].get(key)
+            if hit is not None:
+                for i, d in enumerate(hit[1], j):
+                    sums[i] += d
+                return hit[0]
+            before = sums[j:]
         lo, hi = _level_bounds(divisors[j], res[j])
         if lo > hi:
             return 0
@@ -196,6 +247,8 @@ def plan_count_and_sum(plan, k):
         for lst, r, a in ups:
             lst[r] += a * hi
         sums[j] += weighted
+        if key_rows is not None:
+            memo[j][key] = (count, [s - b for s, b in zip(sums[j:], before)])
         return count
 
     count = rec(0)

@@ -115,6 +115,14 @@ def rank(a):
     return len(_gauss_jordan(a)[1])
 
 
+def independent_rows(a):
+    """Indices of the first maximal linearly independent subset of a's rows.
+
+    They are the pivot columns of the transpose, so there are rank(a).
+    """
+    return tuple(_gauss_jordan(transpose(a))[1]) if a else ()
+
+
 def kernel_basis(a):
     """Primitive integer basis of the rational kernel of `a` (rows act on x)."""
     if not a:

@@ -26,9 +26,11 @@ from toricsym.latticecount import (
     barycenter_rational_function,
     count_lattice_points,
     ehrhart_polynomial,
+    plan_for_polytope,
     quantized_barycenter,
 )
 from toricsym.polytope import polytope_from_vertices, volume_and_barycenter
+from toricsym.report import analyze
 from toricsym.stability import alpha_invariant, delta_invariant, delta_k
 from toricsym.symmetry import (
     aut0_subgroup,
@@ -309,3 +311,22 @@ def test_dim7_automorphism_groups():
     with Budget("dim-7 structure report", 1.0):
         rep = demazure_report(fan)
     assert (rep.weyl_order, rep.component_group_order) == (576, 2)
+
+
+def test_dim7_analyze():
+    # futaki(3,3) end to end, from cold caches.  Its scans memoize by
+    # residual state; Ehrhart reads k = 1..7 and the rational function
+    # behind the chain's zero branch k = 1..9.
+    for fn in (polytope_from_fan, volume_and_barycenter, plan_for_polytope, is_complete,
+               is_fano, polytope_automorphisms, fan_automorphisms, roots):
+        fn.cache_clear()
+    with Budget("dim-7 analyze", 6.0):
+        rep = analyze(generate_futaki(3, 3), name="futaki_3_3")
+    assert (rep["symmetry"]["aut_p_order"], rep["symmetry"]["aut0_p_order"]) == (1152, 576)
+    assert rep["polytope"]["barycenter"] == ["0"] * 7
+    nodes = rep["chain"]["nodes"]
+    for name in ("bck_zero_all_k", "bck_zero_large_k", "bck_zero_n_plus_1", "bc_zero"):
+        assert nodes[name] is True, name
+    assert rep["chain"]["consistent"]
+    coefficients = [Fraction(c) for c in rep["ehrhart"]["coefficients"]]
+    assert sum(c * 3 ** i for i, c in enumerate(coefficients)) == 1_362_705

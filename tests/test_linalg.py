@@ -7,6 +7,7 @@ import helpers_linalg as oracle
 from toricsym.linalg import (
     det,
     identity,
+    independent_rows,
     invariant_factors,
     invert_rational,
     is_unimodular,
@@ -91,6 +92,20 @@ def test_is_unimodular():
     assert not is_unimodular(((2, 0), (0, 1)))
     with pytest.raises(ValueError):
         is_unimodular(((1, 0, 0), (0, 1, 0)))
+
+
+def test_independent_rows_picks_the_first_basis():
+    assert independent_rows(()) == ()
+    assert independent_rows(((0, 0), (1, 2), (2, 4), (0, 1), (1, 3))) == (1, 3)
+    rng = random.Random(7)
+    for _ in range(50):
+        a = tuple(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(1, 5)))
+        basis = independent_rows(a)
+        assert len(basis) == rank(a) == rank([a[i] for i in basis])
+        # Each row outside the basis depends on the basis rows before it.
+        for i in range(len(a)):
+            before = [a[b] for b in basis if b < i]
+            assert (i in basis) == (rank(before + [a[i]]) > len(before))
 
 
 def test_solve_rational_identity_and_halves():

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import helpers_scan
+from helpers_reflexive import random_unimodular
 from test_acceptance import Budget, _random_lattice_polytopes
 from test_latticecount import IMBERT_SIMPLEX
 from toricsym import latticecount
@@ -13,13 +14,21 @@ from toricsym.fan import polytope_from_fan
 from toricsym.latticecount import (
     EnumerationPlan,
     PlanRow,
+    build_plan,
     plan_count_and_sum,
     plan_for_polytope,
     plan_points,
     rigidity_verdict,
 )
+from toricsym.linalg import mat_vec
 from toricsym.polytope import polytope_from_vertices
 from toricsym.report import analyze
+
+
+def bundled_product(a, b):
+    """The product of two bundled anticanonical polytopes."""
+    p, q = (polytope_from_fan(load_bundled(name)) for name in (a, b))
+    return polytope_from_vertices([u + v for u in p.vertices for v in q.vertices])
 
 
 def test_scan_matches_per_leaf_oracle():
@@ -30,12 +39,35 @@ def test_scan_matches_per_leaf_oracle():
     cases += [
         (polytope_from_vertices([(a,), (b,)]), None) for a, b in ((0, 1), (-1, 1), (-5, -2), (2, 9))
     ]
-    cases.append((polytope_from_fan(generate_futaki(2, 2)), 3))
-    cases.append((polytope_from_fan(generate_futaki(3, 3)), 2))
+    # Bundles, whose levels 2.. memoize, then a product (empty memo key at
+    # level 2) and a unimodular image of futaki(2,2), which memoizes nothing.
+    f22 = polytope_from_fan(generate_futaki(2, 2))
+    cases += [(f22, 5), (polytope_from_fan(generate_futaki(2, 3)), 4)]
+    cases.append((polytope_from_fan(generate_futaki(3, 3)), 3))
+    cases.append((bundled_product("dp1", "dp2"), None))
+    m = random_unimodular(random.Random(1), size=8, n=5)
+    cases.append((polytope_from_vertices([mat_vec(m, v) for v in f22.vertices]), 5))
     for p, k_max in cases:
         plan = plan_for_polytope(p)
         for k in range((p.dim + 2 if k_max is None else k_max) + 1):
             assert plan_count_and_sum(plan, k) == helpers_scan.plan_count_and_sum(plan, k)
+
+
+def memoized_levels(p):
+    return {j for j, rows in enumerate(plan_for_polytope(p).memo_keys) if rows is not None}
+
+
+def test_memoized_levels():
+    # futaki(3,3) is a bundle: at levels 2..5 the prefix forms of the rows
+    # below have rank < j.  The bundled fans and criterion-4 polytopes have
+    # full rank everywhere, so their scans run the plain loop.
+    assert memoized_levels(polytope_from_fan(generate_futaki(3, 3))) == {2, 3, 4, 5}
+    for name in BUNDLED:
+        assert memoized_levels(polytope_from_fan(load_bundled(name))) == set(), name
+    for p in _random_lattice_polytopes(random.Random(20250801), 20):
+        assert memoized_levels(p) == set()
+    # dp2's rows never see dp1's coordinates: level 2 is scanned once.
+    assert build_plan(bundled_product("dp1", "dp2")).memo_keys == (None, None, (), None)
 
 
 def test_scan_skips_prefixes_where_an_upper_level_is_loose():
@@ -87,10 +119,8 @@ def test_analyze_scans_each_dilation_once(monkeypatch):
 
 
 def test_seven_dimensional_scan_at_scale():
-    # futaki(3,3) is 7-dimensional with barycenter 0, so Bc_3 = 0 too.
-    with Budget("futaki(3,3) at k = 3, 1,362,705 points", 2.0):
-        count, sums = plan_count_and_sum(
-            plan_for_polytope(polytope_from_fan(generate_futaki(3, 3))), 3
-        )
-    assert count == 1_362_705
-    assert sums == (0,) * 7
+    # futaki(3,3) is 7-dimensional with barycenter 0, so Bc_3 = Bc_9 = 0 too.
+    with Budget("futaki(3,3) at k = 3 and 9, 1,362,705 and 1,491,498,613 points", 2.0):
+        plan = plan_for_polytope(polytope_from_fan(generate_futaki(3, 3)))
+        scans = [plan_count_and_sum(plan, k) for k in (3, 9)]
+    assert scans == [(1_362_705, (0,) * 7), (1_491_498_613, (0,) * 7)]
