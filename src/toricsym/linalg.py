@@ -14,6 +14,7 @@ unimodular reduction.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def identity(n):
@@ -25,7 +26,7 @@ def transpose(a):
 
 
 def mat_vec(a, x):
-    return tuple(sum(r[j] * x[j] for j in range(len(x))) for r in a)
+    return tuple([sum(map(mul, r, x)) for r in a])
 
 
 def mat_mul(a, b):
@@ -42,7 +43,7 @@ def vec_scale(c, x):
 
 
 def dot(x, y):
-    return sum(p * q for p, q in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def gcd_vector(v):

@@ -105,10 +105,6 @@ def _closure(perms, ident, inside):
     return closure
 
 
-def _perm_of(mapped, index_of):
-    return tuple(index_of[m] for m in mapped)
-
-
 def _search_lattice_maps(points, pair_profiles, fingerprints, n):
     """All unimodular matrices permuting `points`, by frame search.
 
@@ -127,7 +123,6 @@ def _search_lattice_maps(points, pair_profiles, fingerprints, n):
     if len(frame) < n:
         raise ValidationError("points do not span the space")
 
-    point_set = set(points)
     index_of = {p: i for i, p in enumerate(points)}
     results = {}
     # sigma maps frame point r to image r, so sigma = B^T (F^T)^-1 for the
@@ -144,10 +139,14 @@ def _search_lattice_maps(points, pair_profiles, fingerprints, n):
                     return
                 sigma.append(tuple(q for q, _ in entries))
             sigma = tuple(sigma)
-            mapped = [tuple(mat_vec(sigma, p)) for p in points]
-            if set(mapped) != point_set:
-                return
-            results[sigma] = _perm_of(mapped, index_of)
+            perm = []
+            for p in points:
+                i = index_of.get(mat_vec(sigma, p))
+                if i is None:
+                    return
+                perm.append(i)
+            if len(set(perm)) == m:
+                results[sigma] = tuple(perm)
             return
         f = frame[pos]
         for cand in range(m):
@@ -416,12 +415,15 @@ def rays_of_reflexive(p):
     return tuple(rays)
 
 
+@lru_cache(maxsize=256)
 def aut0_subgroup(p, root_data=None):
     """The subgroup of Aut P acting trivially on divisor classes.
 
     An element passes if every facet F it moves satisfies
     -F intersect image(F) intersect R(P) nonempty.  Facet i of an
-    anticanonical polytope pairs with ray i = -normal_i.
+    anticanonical polytope pairs with ray i = -normal_i.  Cached, so the
+    symmetry stage and `demazure_report` of one `analyze` share one search
+    and one group check.
     """
     rays = rays_of_reflexive(p)
     if root_data is None:

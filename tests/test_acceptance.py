@@ -301,6 +301,7 @@ def test_dim7_automorphism_groups():
     rd = roots(fan)
     polytope_automorphisms.cache_clear()
     fan_automorphisms.cache_clear()
+    aut0_subgroup.cache_clear()
     with Budget("dim-7 Aut P, Aut Delta and Aut_0 P", 4.0):
         aut_p = polytope_automorphisms(p)
         aut_delta = fan_automorphisms(fan)
@@ -318,7 +319,7 @@ def test_dim7_analyze():
     # residual state; Ehrhart reads k = 1..7 and the rational function
     # behind the chain's zero branch k = 1..9.
     for fn in (polytope_from_fan, volume_and_barycenter, plan_for_polytope, is_complete,
-               is_fano, polytope_automorphisms, fan_automorphisms, roots):
+               is_fano, polytope_automorphisms, fan_automorphisms, roots, aut0_subgroup):
         fn.cache_clear()
     with Budget("dim-7 analyze", 6.0):
         rep = analyze(generate_futaki(3, 3), name="futaki_3_3")

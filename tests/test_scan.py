@@ -3,6 +3,9 @@
 import random
 from collections import Counter
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 import helpers_scan
 from helpers_reflexive import random_unimodular
 from test_acceptance import Budget, _random_lattice_polytopes
@@ -15,6 +18,7 @@ from toricsym.latticecount import (
     EnumerationPlan,
     PlanRow,
     build_plan,
+    floor_sums,
     plan_count_and_sum,
     plan_for_polytope,
     plan_points,
@@ -84,6 +88,94 @@ def test_scan_skips_prefixes_where_an_upper_level_is_loose():
     assert list(plan_points(plan, 1)) == [(0, 0)]
     assert plan_count_and_sum(plan, 1) == (1, (0, 0))
     assert helpers_scan.plan_count_and_sum(plan, 1) == (1, (0, 0))
+
+
+@given(
+    st.integers(-60, 60), st.integers(-500, 500), st.integers(1, 40), st.integers(0, 40)
+)
+@example(-7, -3, 1, 0)
+@example(-7, -3, 1, 1)
+@example(-5, 12, 3, 1)
+@example(4, -9, 1, 25)
+def test_floor_sums_match_brute_force(p, q, m, n):
+    f = [(p * t + q) // m for t in range(n)]
+    assert floor_sums(p, q, m, n) == (
+        sum(f), sum(t * v for t, v in enumerate(f)), sum(v * v for v in f)
+    )
+
+
+def loose_plan(*last):
+    """0 <= x0 <= 2k, then the last-level rows (coeffs, c0, ck): level 0
+    admits values of x0 over which the last level's real fibre is empty."""
+    return EnumerationPlan(
+        dim=2,
+        levels=(
+            (PlanRow(coeffs=(1,), c0=0, ck=2), PlanRow(coeffs=(-1,), c0=0, ck=0)),
+            tuple(PlanRow(coeffs=a, c0=c0, ck=ck) for a, c0, ck in last),
+        ),
+    )
+
+
+LOOSE_PLANS = (
+    loose_plan(((2, 1), 0, 0), ((0, -1), 0, 0)),  # x1 <= -2*x0: only (0, 0)
+    loose_plan(((2, 1), 0, 1), ((0, -1), 0, 0)),  # x1 <= k - 2*x0: x0 <= k/2
+    loose_plan(((-2, 1), 0, -1), ((0, -1), 0, 0)),  # x1 <= 2*x0 - k: x0 >= k/2
+    loose_plan(((-1, 1), -2, 0), ((1, -1), 0, 0)),  # x0 <= x1 <= x0 - 2: empty
+)
+
+
+def closed_intervals(monkeypatch):
+    """A list that grows by one for each interval closed by floor sums."""
+    closed = []
+    close = latticecount._close_last_two
+
+    def counted(upper, lower, width):
+        closed.append(width)
+        return close(upper, lower, width)
+
+    monkeypatch.setattr(latticecount, "_close_last_two", counted)
+    return closed
+
+
+def test_closed_intervals_match_per_leaf_oracle(monkeypatch):
+    f12 = polytope_from_fan(generate_futaki(1, 2))
+    image = polytope_from_vertices(
+        [mat_vec(random_unimodular(random.Random(0), size=6, n=4), v) for v in f12.vertices]
+    )
+    image_plan = plan_for_polytope(image)
+    assert {abs(row.coeffs[-1]) for row in image_plan.levels[-1]} - {1}
+    # x0 runs to 2k > CLOSE_FROM, and the clip cuts off where the fibre is empty.
+    cases = [(plan_for_polytope(f12), range(8, 13)), (image_plan, (5, 9))]
+    cases += [(plan, (9, 30)) for plan in LOOSE_PLANS]
+    closed = closed_intervals(monkeypatch)
+    for plan, ks in cases:
+        for k in ks:
+            del closed[:]
+            assert plan_count_and_sum(plan, k) == helpers_scan.plan_count_and_sum(plan, k)
+            assert closed, (plan.levels, k)
+    assert plan_count_and_sum(LOOSE_PLANS[0], 30) == (1, (0, 0))
+    assert plan_count_and_sum(LOOSE_PLANS[3], 30) == (0, (0, 0))
+    # Criterion-4 polytopes at k = 10: 11 of these 12 close intervals, 1,514
+    # of them with CLOSE_FROM = 16.
+    del closed[:]
+    for p in _random_lattice_polytopes(random.Random(20250801), 12):
+        plan = plan_for_polytope(p)
+        assert plan_count_and_sum(plan, 10) == helpers_scan.plan_count_and_sum(plan, 10)
+    assert len(closed) > 1000
+
+
+def test_closing_every_interval_matches_per_leaf_oracle(monkeypatch):
+    # Intervals of one and two values, and every other length below the
+    # cutoff, through the closed branch.
+    monkeypatch.setattr(latticecount, "CLOSE_FROM", 0)
+    closed = closed_intervals(monkeypatch)
+    plans = [plan_for_polytope(polytope_from_fan(load_bundled(name))) for name in BUNDLED]
+    plans += [plan_for_polytope(p) for p in _random_lattice_polytopes(random.Random(7), 30)]
+    plans += LOOSE_PLANS
+    for plan in plans:
+        for k in range(plan.dim + 3):
+            assert plan_count_and_sum(plan, k) == helpers_scan.plan_count_and_sum(plan, k)
+    assert {0, 1} <= set(closed)
 
 
 def scanned_dilations(monkeypatch):

@@ -10,6 +10,7 @@ from helpers_groups import (
     with_repeated_permutation,
     without_element,
 )
+from toricsym import symmetry
 from toricsym.datasets import BUNDLED, load_bundled
 from toricsym.errors import InvariantViolation, NonLatticePolytopeError, ValidationError
 from toricsym.families import generate_futaki
@@ -17,6 +18,7 @@ from toricsym.fan import Fan, polytope_from_fan
 from toricsym.latticecount import enumerate_lattice_points
 from toricsym.linalg import det, dot, mat_vec, transpose
 from toricsym.polytope import polytope_from_vertices, volume_and_barycenter
+from toricsym.report import analyze
 from toricsym.symmetry import (
     aut0_subgroup,
     classify_symmetry,
@@ -314,3 +316,15 @@ def test_fan_aut_fano52(fano52_fan):
     g = fan_automorphisms(fano52_fan)
     fixed = fixed_subspace([transpose(h) for h in g.elements])
     assert len(fixed) == 1  # alpha < 1 comes from this one fixed line
+
+
+def test_analyze_computes_aut0_once(monkeypatch):
+    # The symmetry stage and demazure_report both ask for Aut_0 P; one
+    # search and one group check serve both.
+    calls = []
+    rays = symmetry.rays_of_reflexive
+    monkeypatch.setattr(symmetry, "rays_of_reflexive", lambda p: calls.append(p) or rays(p))
+    aut0_subgroup.cache_clear()
+    rep = analyze(generate_futaki(2, 2), name="futaki_2_2")
+    assert len(calls) == 1
+    assert rep["symmetry"]["aut0_p_order"] == rep["demazure"]["weyl_order"]
