@@ -3,9 +3,10 @@
 One variable per ray, graded by the divisor class group.  Rays sharing a
 class assemble GL blocks; roots contribute unipotent one-parameter
 substitutions x_v -> x_v + lambda * (monomial of equal degree); the
-component group is Aut P modulo the subgroup acting trivially on classes.
-The dimension of the identity component can be computed two independent
-ways, and the package asserts they agree on every call.
+finite part Aut_0 P is the Weyl group W, generated by one reflection
+u -> u - <u, v_-m - v_m> m per semisimple root m, and the component group
+is Aut P / W.  The dimension of the identity component can be computed
+two independent ways, and the package asserts they agree on every call.
 """
 
 from toricsym import (

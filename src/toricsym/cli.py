@@ -19,12 +19,8 @@ from .symmetry import aut0_subgroup, polytope_automorphisms, roots
 from .demazure import demazure_report
 
 
-def _load(path):
-    return parse_fan_file(path)
-
-
 def cmd_analyze(args):
-    fan = _load(args.file)
+    fan = parse_fan_file(args.file)
     report = rp.analyze(
         fan,
         name=args.file,
@@ -45,7 +41,7 @@ def cmd_analyze(args):
 
 
 def cmd_bc(args):
-    fan = _load(args.file)
+    fan = parse_fan_file(args.file)
     p = polytope_from_fan(fan)
     bc = quantized_barycenter(p, args.k)
     print(" ".join(rp.rat(x) for x in bc))
@@ -53,7 +49,7 @@ def cmd_bc(args):
 
 
 def cmd_ehrhart(args):
-    fan = _load(args.file)
+    fan = parse_fan_file(args.file)
     p = polytope_from_fan(fan)
     poly = ehrhart_polynomial(p)
     print(" ".join(rp.rat(c) for c in poly.coefficients))
@@ -61,7 +57,7 @@ def cmd_ehrhart(args):
 
 
 def cmd_roots(args):
-    fan = _load(args.file)
+    fan = parse_fan_file(args.file)
     rd = roots(fan)
     for m, i in rd.roots:
         kind = "semisimple" if (m, i) in rd.semisimple else "unipotent"
@@ -72,7 +68,7 @@ def cmd_roots(args):
 
 
 def cmd_aut(args):
-    fan = _load(args.file)
+    fan = parse_fan_file(args.file)
     p = polytope_from_fan(fan)
     group = polytope_automorphisms(p)
     aut0 = aut0_subgroup(p, root_data=roots(fan))
@@ -82,15 +78,12 @@ def cmd_aut(args):
 
 
 def cmd_alpha(args):
-    fan = _load(args.file)
-    if args.subgroup != "full":
-        raise ValidationError("only --subgroup full is supported")
-    print(rp.rat(alpha_invariant(fan)))
+    print(rp.rat(alpha_invariant(parse_fan_file(args.file))))
     return 0
 
 
 def cmd_delta(args):
-    fan = _load(args.file)
+    fan = parse_fan_file(args.file)
     if args.k is None:
         print(rp.rat(delta_invariant(fan)))
     else:
@@ -99,7 +92,7 @@ def cmd_delta(args):
 
 
 def cmd_demazure(args):
-    fan = _load(args.file)
+    fan = parse_fan_file(args.file)
     rep = demazure_report(fan)
     print(f"reductive {rep.is_reductive}")
     print(f"unipotent_dim {rep.unipotent_dim}")
@@ -113,7 +106,7 @@ def cmd_demazure(args):
 def cmd_verify_chain(args):
     failures = 0
     for path in sorted(args.files):
-        fan = _load(path)
+        fan = parse_fan_file(path)
         cr = verify_implication_chain(fan, k_budget=args.k_budget)
         status = "consistent" if cr.consistent else "VIOLATED"
         print(f"{path}: {status}")
@@ -171,9 +164,8 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(fn=cmd_aut)
 
-    p = sub.add_parser("alpha", help="alpha invariant")
+    p = sub.add_parser("alpha", help="alpha invariant of Aut P")
     p.add_argument("file")
-    p.add_argument("--subgroup", default="full")
     p.set_defaults(fn=cmd_alpha)
 
     p = sub.add_parser("delta", help="delta invariant (or delta_k with --k)")

@@ -66,6 +66,10 @@ class EnumerationPlan:
     (level, row) pairs of the first basis of those forms, whose residuals
     are the state a scan memoizes level j by.  Otherwise distinct
     prefixes give distinct states, and `memo_keys[j]` is None.
+
+    A hand-built plan is checked when made: every row at level j has j+1
+    coefficients, and every level holds a row with a positive and a row
+    with a negative last coefficient, so each interval is bounded.
     """
 
     dim: int
@@ -75,6 +79,12 @@ class EnumerationPlan:
     memo_keys: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        for j, level in enumerate(self.levels):
+            if any(len(row.coeffs) != j + 1 for row in level):
+                raise ValidationError(f"plan level {j} has a row without {j + 1} coefficients")
+            lasts = [row.coeffs[j] for row in level]
+            if not (any(c > 0 for c in lasts) and any(c < 0 for c in lasts)):
+                raise ValidationError(f"plan level {j} lacks an upper or a lower row")
         keys = [None] * self.dim
         for j in range(1, self.dim - 1):
             rows = [

@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from .errors import InvariantViolation
+
 
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -301,12 +303,14 @@ def smith_normal_form(a):
     right = tuple(tuple(r) for r in v)
     dec = SmithDecomposition(left=left, diagonal=diag, right=right)
     full = dec.reconstruct(a)
-    assert all(
-        full[i][j] == (diag[i] if i == j and i < k else 0)
+    if any(
+        full[i][j] != (diag[i] if i == j and i < k else 0)
         for i in range(m)
         for j in range(n)
-    ), "Smith decomposition failed to reconstruct"
-    assert is_unimodular(left) and is_unimodular(right)
+    ):
+        raise InvariantViolation("Smith decomposition failed to reconstruct")
+    if not (is_unimodular(left) and is_unimodular(right)):
+        raise InvariantViolation("Smith transforms are not unimodular")
     return dec
 
 

@@ -15,7 +15,7 @@ from .errors import ToricSymError
 from .fan import is_complete, is_fano, is_simplicial, is_smooth, polytope_from_fan
 from .latticecount import ehrhart_polynomial, quantized_barycenter
 from .polytope import is_lattice_polytope, volume_and_barycenter
-from .stability import alpha_invariant, delta_invariant, delta_k
+from .stability import metric_verdicts
 from .symmetry import (
     aut0_subgroup,
     classify_symmetry,
@@ -123,17 +123,14 @@ def analyze(fan, name="<memory>", sha256=None, k_max=3, skip_demazure=False,
     _stage(report, "symmetry", symmetry_summary)
 
     def stability_summary():
-        p = polytope_from_fan(fan)
-        _, bc = volume_and_barycenter(p)
-        zero = tuple(Fraction(0) for _ in range(fan.dim))
-        deltas = {str(k): rat(delta_k(fan, k)) for k in range(1, k_max + 1)}
+        sr = metric_verdicts(fan, k_max)
         return {
-            "delta": rat(delta_invariant(fan)),
-            "delta_k": deltas,
-            "alpha_full": rat(alpha_invariant(fan)),
-            "ke_exists": bc == zero,
-            "reductive": roots(fan).is_centrally_lattice_symmetric(),
-            "balanced_k": {k: v == "1" for k, v in deltas.items()},
+            "delta": rat(sr.delta),
+            "delta_k": {str(k): rat(d) for k, d in sr.delta_k},
+            "alpha_full": rat(dict(sr.alpha)["full"]),
+            "ke_exists": sr.ke_exists,
+            "reductive": sr.reductive,
+            "balanced_k": {str(k): b for k, b in sr.balanced_k},
         }
 
     _stage(report, "stability", stability_summary)

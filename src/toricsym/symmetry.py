@@ -5,7 +5,9 @@ subgroup preserving the fan.  For a Fano fan the two are exchanged by
 transposition, so Fano paths search Aut P only; `fan_automorphisms` serves
 non-Fano fans and is the oracle for the transpose.  Fixed points come from
 the group sum S: dim V^G = tr(S)/|G|.  Roots are the lattice points in
-relative interiors of facets, split into semisimple and unipotent.
+relative interiors of facets, split into semisimple and unipotent.  Aut_0 P
+is the Weyl group W (Demazure's structure theorem), generated inside Aut P
+by one reflection per semisimple root; no element of Aut P is tested.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from .errors import (
     NonLatticePolytopeError,
     ValidationError,
 )
-from .fan import is_complete, is_fano, polytope_from_fan
+from .fan import Fan, is_complete, is_fano, polytope_from_fan
 from .latticecount import enumerate_lattice_points
 from .linalg import (
     dot,
@@ -28,22 +30,21 @@ from .linalg import (
     rank,
     transpose,
     vec_scale,
+    vec_sub,
 )
 from .polytope import is_lattice_polytope
 
 
 @dataclass(frozen=True)
 class LatticeAutGroup:
-    """A finite group of unimodular matrices with its induced permutations.
+    """A finite group of unimodular matrices with its vertex permutations.
 
     `vertex_permutations[g][i]` is the index of element g applied to
-    vertex i; facet permutations likewise.  For fan-side groups the same
-    slots hold ray and cone permutations.
+    vertex i.  For fan-side groups the same slot holds ray permutations.
     """
 
     elements: tuple  # of integer matrix tuples
     vertex_permutations: tuple
-    facet_permutations: tuple
 
     @property
     def order(self):
@@ -80,7 +81,6 @@ class LatticeAutGroup:
         return LatticeAutGroup(
             elements=tuple(self.elements[i] for i in keep),
             vertex_permutations=tuple(perms[i] for i in keep),
-            facet_permutations=tuple(self.facet_permutations[i] for i in keep),
         )
 
 
@@ -197,19 +197,9 @@ def polytope_automorphisms(p):
     ]
     found = _search_lattice_maps(verts, pair_profiles, fingerprints, n)
 
-    elements = sorted(found)
-    vperms = tuple(found[g] for g in elements)
-    fperms = []
-    for g, vperm in zip(elements, vperms):
-        fp = []
-        for tight in p.incidence:
-            image = frozenset(vperm[i] for i in tight)
-            fp.append(p.incidence.index(image))
-        fperms.append(tuple(fp))
+    elements = tuple(sorted(found))
     group = LatticeAutGroup(
-        elements=tuple(elements),
-        vertex_permutations=vperms,
-        facet_permutations=tuple(fperms),
+        elements=elements, vertex_permutations=tuple(found[g] for g in elements)
     )
     group.check_group_axioms()
     return group
@@ -247,28 +237,14 @@ def fan_automorphisms(f):
     ]
     found = _search_lattice_maps(rays, shared, fingerprints, n)
 
-    elements = []
-    ray_perms = []
-    cone_perms = []
-    index_of = {r: i for i, r in enumerate(rays)}
-    for g, perm in sorted(found.items()):
-        mapped_cones = set(
-            tuple(sorted(perm[i] for i in cone)) for cone in f.max_cones
-        )
-        if mapped_cones != cone_sets:
-            continue
-        elements.append(g)
-        ray_perms.append(perm)
-        cone_perms.append(
-            tuple(
-                f.max_cones.index(tuple(sorted(perm[i] for i in cone)))
-                for cone in f.max_cones
-            )
-        )
+    kept = [
+        (g, perm)
+        for g, perm in sorted(found.items())
+        if {tuple(sorted(perm[i] for i in cone)) for cone in f.max_cones} == cone_sets
+    ]
     group = LatticeAutGroup(
-        elements=tuple(elements),
-        vertex_permutations=tuple(ray_perms),
-        facet_permutations=tuple(cone_perms),
+        elements=tuple(g for g, _ in kept),
+        vertex_permutations=tuple(perm for _, perm in kept),
     )
     group.check_group_axioms()
     if is_fano(f):
@@ -417,54 +393,29 @@ def rays_of_reflexive(p):
 
 @lru_cache(maxsize=256)
 def aut0_subgroup(p, root_data=None):
-    """The subgroup of Aut P acting trivially on divisor classes.
+    """Aut_0 P, the Weyl group W generated by the root reflections.
 
-    An element passes if every facet F it moves satisfies
-    -F intersect image(F) intersect R(P) nonempty.  Facet i of an
-    anticanonical polytope pairs with ray i = -normal_i.  Cached, so the
-    symmetry stage and `demazure_report` of one `analyze` share one search
-    and one group check.
+    A semisimple root m pairs to -1 with exactly one ray v_m and to +1 with
+    exactly one ray v_-m, and to 0 with the rest; its reflection
+    u -> u - <u, v_-m - v_m> m sends m to -m and swaps the two rays.  W is
+    closed inside Aut P from these generators; a reflection outside Aut P
+    breaks the theorem and raises.  Cached, so the symmetry stage and
+    `demazure_report` of one `analyze` share one closure.
     """
     rays = rays_of_reflexive(p)
     if root_data is None:
-        from .fan import Fan
-
         root_data = roots(Fan.from_rays(rays))
-    group = polytope_automorphisms(p)
-    # Re-key each root by the facet it is interior to, in this polytope's
-    # facet order (caller-provided root data may use another ray order).
-    roots_by_ray = {}
-    for m, _ in root_data.roots:
-        fi = next(i for i, v in enumerate(rays) if dot(m, v) == -1)
-        roots_by_ray.setdefault(fi, []).append(m)
-
-    def facet_condition(fi, fj):
-        # Some root m interior to facet fj with -m lying on facet fi.
-        vi = rays[fi]
-        for m in roots_by_ray.get(fj, ()):
-            if dot(m, vi) == 1 and all(dot(m, v) <= 1 for v in rays):
-                return True
-        return False
-
-    chosen = []
-    for gi, g in enumerate(group.elements):
-        fperm = group.facet_permutations[gi]
-        if all(
-            fperm[fi] == fi or facet_condition(fi, fperm[fi])
-            for fi in range(len(fperm))
-        ):
-            chosen.append(gi)
-    sub = LatticeAutGroup(
-        elements=tuple(group.elements[i] for i in chosen),
-        vertex_permutations=tuple(group.vertex_permutations[i] for i in chosen),
-        facet_permutations=tuple(group.facet_permutations[i] for i in chosen),
-    )
-    sub.check_group_axioms()
-    return sub
-
-
-def trivial_subgroup(n):
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return LatticeAutGroup(
-        elements=(ident,), vertex_permutations=((),), facet_permutations=((),)
-    )
+    n = p.dim
+    reflections = []
+    for m, _ in root_data.semisimple:
+        pairings = [dot(m, v) for v in rays]
+        if pairings.count(-1) != 1 or pairings.count(1) != 1:
+            raise InvariantViolation(f"semisimple root {m} does not pair with two rays")
+        d = vec_sub(rays[pairings.index(1)], rays[pairings.index(-1)])
+        reflections.append(
+            tuple(tuple(int(i == j) - m[i] * d[j] for j in range(n)) for i in range(n))
+        )
+    try:
+        return polytope_automorphisms(p).generated_by(reflections)
+    except ValidationError:
+        raise InvariantViolation("a root reflection does not lie in Aut P") from None

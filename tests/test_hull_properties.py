@@ -5,8 +5,9 @@ For a unimodular A, the facets of A.P are the A^-T images of the facets of
 P, with the same right-hand sides and the same incidences, and the vertex
 description computed back from the facets is the one we started from.
 The lattice points of k(A.P) are the A-images of those of kP, so the scan
-finds as many and their coordinate sums map by A.  Aut P is conjugated by
-A, so alpha and dim V^G = tr(S)/|G| do not change.
+finds as many and their coordinate sums map by A.  Aut P and Aut_0 P are
+conjugated by A, so their orders, alpha and dim V^G = tr(S)/|G| do not
+change, nor do the volume, the Ehrhart polynomial and the Demazure data.
 """
 
 from functools import lru_cache
@@ -18,15 +19,17 @@ from hypothesis import given, settings, strategies as st
 
 from helpers_reflexive import random_unimodular
 from toricsym.datasets import load_bundled
+from toricsym.demazure import demazure_report
 from toricsym.fan import Fan, polytope_from_fan
-from toricsym.latticecount import plan_count_and_sum, plan_for_polytope
+from toricsym.latticecount import ehrhart_polynomial, plan_count_and_sum, plan_for_polytope
 from toricsym.linalg import invert_unimodular, mat_vec, transpose
 from toricsym.polytope import (
     polytope_from_vertices,
     vertices_from_inequalities,
+    volume_and_barycenter,
 )
 from toricsym.stability import alpha_invariant
-from toricsym.symmetry import classify_symmetry
+from toricsym.symmetry import aut0_subgroup, classify_symmetry, polytope_automorphisms
 
 BUNDLED = (
     "p2", "p1xp1", "dp1", "dp2", "dp3", "fano3fold_5_2", "futaki_1_2", "weighted_112",
@@ -97,3 +100,13 @@ def test_alpha_and_fixed_dimension_of_unimodular_image(name, rng):
     image = Fan.make(f.dim, [mat_vec(a, r) for r in f.rays], f.max_cones)
     assert alpha_invariant(image) == alpha_invariant(f)
     assert classify_symmetry(image) == classify_symmetry(f)
+    # The polytope moves by A^-T: its groups are conjugated, and its volume,
+    # lattice points and the Demazure data do not change.
+    p, q = polytope_from_fan(f), polytope_from_fan(image)
+    assert polytope_automorphisms(q).order == polytope_automorphisms(p).order
+    assert aut0_subgroup(q).order == aut0_subgroup(p).order
+    assert volume_and_barycenter(q)[0] == volume_and_barycenter(p)[0]
+    assert ehrhart_polynomial(q) == ehrhart_polynomial(p)
+    rep, rep_image = demazure_report(f), demazure_report(image)
+    for field in ("weyl_order", "component_group_order", "dim_aut0", "gs_factor_sizes"):
+        assert getattr(rep_image, field) == getattr(rep, field), field

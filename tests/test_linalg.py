@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 import helpers_linalg as oracle
+from toricsym import linalg
+from toricsym.errors import InvariantViolation
 from toricsym.linalg import (
+    SmithDecomposition,
     det,
     identity,
     independent_rows,
@@ -46,6 +49,19 @@ def test_snf_weighted_pairing_matrix():
     cols = list(zip(*a))
     for col in cols:
         assert col[0] + 2 * col[1] + col[2] == 0
+
+
+def test_snf_checks_survive_optimized_mode(monkeypatch):
+    # The reconstruction and unimodularity checks raise, so `python -O`
+    # keeps them.
+    a = ((2, 4, 4), (-6, 6, 12), (10, 4, 16))
+    with monkeypatch.context() as m:
+        m.setattr(SmithDecomposition, "reconstruct", lambda self, a: identity(3))
+        with pytest.raises(InvariantViolation, match="reconstruct"):
+            smith_normal_form(a)
+    monkeypatch.setattr(linalg, "is_unimodular", lambda a: False)
+    with pytest.raises(InvariantViolation, match="unimodular"):
+        smith_normal_form(a)
 
 
 def test_snf_divisibility_and_reconstruction():

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from test_acceptance import Budget, _random_lattice_polytopes
 from test_latticecount import IMBERT_SIMPLEX
 from toricsym import latticecount
 from toricsym.datasets import BUNDLED, load_bundled
+from toricsym.errors import ValidationError
 from toricsym.families import generate_futaki
 from toricsym.fan import polytope_from_fan
 from toricsym.latticecount import (
@@ -122,6 +124,22 @@ LOOSE_PLANS = (
     loose_plan(((-2, 1), 0, -1), ((0, -1), 0, 0)),  # x1 <= 2*x0 - k: x0 >= k/2
     loose_plan(((-1, 1), -2, 0), ((1, -1), 0, 0)),  # x0 <= x1 <= x0 - 2: empty
 )
+
+
+@pytest.mark.parametrize("k", [1, 20])
+@pytest.mark.parametrize(
+    "last",
+    [
+        (((0, 1), 0, 1),),  # x1 <= k: no lower row
+        (((0, -1), 0, 0),),  # -x1 <= 0: no upper row
+        (((0, 1), 0, 1), ((-1,), 0, 0)),  # a level-1 row with one coefficient
+    ],
+)
+def test_plan_without_bounded_levels_is_rejected(last, k):
+    # A scan of such a plan fails inside its loops; the plan is refused
+    # when made, before any k is asked for.
+    with pytest.raises(ValidationError):
+        plan_count_and_sum(loose_plan(*last), k)
 
 
 def closed_intervals(monkeypatch):

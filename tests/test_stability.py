@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers_groups import trivial_subgroup
 from helpers_slice import intersect_with_subspace, slice_alpha
 from toricsym.datasets import BUNDLED, load_bundled
 from toricsym.errors import NonFanoError, ValidationError
@@ -22,7 +23,6 @@ from toricsym.symmetry import (
     fixed_space_dimension,
     fixed_subspace,
     polytope_automorphisms,
-    trivial_subgroup,
 )
 
 

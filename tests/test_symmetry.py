@@ -4,8 +4,11 @@ from itertools import product
 import pytest
 
 from helpers_groups import (
+    aut0_by_facet_predicate,
     identity_index,
     pairwise_group_check,
+    trivial_subgroup,
+    v_n_rays,
     with_extra_element,
     with_repeated_permutation,
     without_element,
@@ -28,7 +31,6 @@ from toricsym.symmetry import (
     group_sum,
     polytope_automorphisms,
     roots,
-    trivial_subgroup,
 )
 
 
@@ -305,6 +307,39 @@ def test_aut0_orders(p2_fan, p1xp1_fan, dp1_fan, dp2_fan, dp3_fan):
         assert sub.order == expected[id(f)]
         full = polytope_automorphisms(p)
         assert set(sub.elements) <= set(full.elements)
+
+
+def test_aut0_weyl_group_matches_facet_predicate():
+    # Two routes to Aut_0 P: the closure of the root reflections, and the
+    # facet predicate tested on every element of Aut P.
+    fans = [(name, load_bundled(name)) for name in BUNDLED]
+    fans += [
+        (f"futaki_{a}_{b}", generate_futaki(a, b))
+        for a, b in ((1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3))
+    ]
+    fans.append(("V_4", Fan.from_rays(v_n_rays(4))))
+    for name, f in fans:
+        p = polytope_from_fan(f)
+        weyl = aut0_subgroup(p, root_data=roots(f))
+        assert set(weyl.elements) == set(aut0_by_facet_predicate(p, roots(f)).elements), name
+        assert weyl.check_group_axioms(), name
+    # V_4 has no roots, so W is trivial inside its Aut P of order 240.
+    assert aut0_subgroup(polytope_from_fan(fans[-1][1])).order == 1
+
+
+def test_aut0_raises_on_a_reflection_outside_aut_p(monkeypatch, p2_fan):
+    # A broken invariant, not bad input: the theorem puts every root
+    # reflection in Aut P.
+    p = polytope_from_fan(p2_fan)
+    full = polytope_automorphisms(p)
+    monkeypatch.setattr(
+        symmetry, "polytope_automorphisms",
+        lambda q: full.generated_by([]) if q == p else polytope_automorphisms(q),
+    )
+    aut0_subgroup.cache_clear()
+    with pytest.raises(InvariantViolation, match="reflection"):
+        aut0_subgroup(p)
+    aut0_subgroup.cache_clear()
 
 
 def test_aut0_dp1_is_full_group(dp1_fan):
