@@ -91,11 +91,6 @@ def cone_facet_normals(rays, n):
     return eqs, extreme_rays(eqs, rays, n)
 
 
-def cone_contains(rays, n, x):
-    eqs, ineqs = cone_facet_normals(rays, n)
-    return all(dot(e, x) == 0 for e in eqs) and all(dot(u, x) >= 0 for u in ineqs)
-
-
 def _is_strongly_convex(rays, n):
     """cone(rays) contains no line exactly when its dual cone is
     full-dimensional in the span, that is, when the span equations and the

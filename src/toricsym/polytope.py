@@ -299,22 +299,6 @@ def dilate(p, k):
     )
 
 
-def translate(p, t):
-    tv = _frac_vec(t)
-    return Polytope(
-        h=HPolytope(
-            dim=p.dim,
-            inequalities=tuple((a, rhs + dot(a, tv)) for a, rhs in p.inequalities),
-        ),
-        v=VPolytope(vertices=tuple(vec_add_frac(v, tv) for v in p.vertices)),
-        incidence=p.incidence,
-    )
-
-
-def vec_add_frac(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def _face_children(face, incidence):
     """Facets of a face, as maximal proper intersections with polytope facets."""
     children = []

@@ -1,9 +1,9 @@
 """Stability thresholds and canonical-metric verdicts.
 
 Everything here is a closed combinatorial formula: the alpha invariant is
-a gauge maximum over the group averages of the vertices, whose hull is
-the fixed-point slice of the polytope, and the delta thresholds pair
-barycenters against the ray generators.  No analysis is performed;
+a gauge maximum over the projections of the vertices onto the fixed
+subspace, whose hull is the fixed-point slice of the polytope, and the
+delta thresholds pair barycenters against the ray generators.  No analysis is performed;
 existence verdicts are exactly the vanishing conditions they are
 equivalent to.
 """
@@ -11,12 +11,12 @@ equivalent to.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonFanoError, ValidationError
+from .errors import InvariantViolation, NonFanoError, ValidationError
 from .fan import is_fano, polytope_from_fan
 from .latticecount import quantized_barycenter
-from .linalg import dot, mat_vec
+from .linalg import dot, mat_vec, solve_rational, transpose
 from .polytope import volume_and_barycenter
-from .symmetry import group_sum, polytope_automorphisms, roots
+from .symmetry import fixed_subspace, polytope_automorphisms, roots
 
 
 def dual_norm(u, p):
@@ -40,22 +40,41 @@ def dual_norm(u, p):
 def alpha_invariant(f, h=None):
     """Tian-type threshold for the group G generated by H and the real torus.
 
-    alpha = 1/(1 + max over P^G of the gauge).  With S the sum of the
-    elements of G, S/|G| maps P onto its fixed slice P^G, so P^G is the
-    hull of the averages S.v/|G| of the vertices v, and the convex gauge
-    peaks at one of them.  Equals 1 exactly when P^G = {0}.  H (a group or
-    elements) must lie in Aut P; by default G = Aut P.
+    alpha = 1/(1 + max over P^G of the gauge).  The group average maps P
+    onto its fixed slice P^G = P cap V^G, projecting along W, the sum of
+    the images of g - I, whose annihilator is the space fixed by the
+    transposes.  With K a basis of V^G and L one of that space, the image
+    of a vertex v is K.c where (L.K) c = L.v.  P^G is the hull of these
+    images, and the convex gauge peaks at one of them.  Equals 1 exactly
+    when P^G = {0}.  H (a group or matrices) is checked to lie in Aut P;
+    by default G = Aut P.
     """
     if not is_fano(f):
         raise NonFanoError("alpha invariant requires a Fano fan")
     p = polytope_from_fan(f)
-    group = polytope_automorphisms(p)
-    if h is not None:
-        group = group.generated_by(getattr(h, "elements", h))
-    s = group_sum(group)
-    best = max(
-        dual_norm(tuple(x / group.order for x in mat_vec(s, v)), p) for v in p.vertices
-    )
+    n = p.dim
+    if h is None:
+        gens = polytope_automorphisms(p).generators
+    else:
+        gens = getattr(h, "generators", h)
+        vertex_set = set(p.vertices)
+        for g in gens:
+            if len(g) != n or any(len(r) != n for r in g) or (
+                {mat_vec(g, v) for v in vertex_set} != vertex_set
+            ):
+                raise ValidationError("an element does not lie in Aut P")
+    fixed = fixed_subspace(gens, n)
+    if not fixed:
+        return Fraction(1)
+    dual = fixed_subspace([transpose(g) for g in gens], n)
+    pairing = [[dot(a, b) for b in fixed] for a in dual]
+    best = Fraction(0)
+    for v in p.vertices:
+        c = solve_rational(pairing, [dot(a, v) for a in dual])
+        if c is None:
+            raise InvariantViolation("the fixed spaces of G and its transpose do not pair")
+        image = tuple(sum(cj * b[i] for cj, b in zip(c, fixed)) for i in range(n))
+        best = max(best, dual_norm(image, p))
     return Fraction(1) / (1 + best)
 
 

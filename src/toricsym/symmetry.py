@@ -3,15 +3,19 @@
 Aut P is the subgroup of GL(n, Z) preserving the polytope; Aut Delta the
 subgroup preserving the fan.  For a Fano fan the two are exchanged by
 transposition, so Fano paths search Aut P only; `fan_automorphisms` serves
-non-Fano fans and is the oracle for the transpose.  Fixed points come from
-the group sum S: dim V^G = tr(S)/|G|.  Roots are the lattice points in
-relative interiors of facets, split into semisimple and unipotent.  Aut_0 P
-is the Weyl group W (Demazure's structure theorem), generated inside Aut P
-by one reflection per semisimple root; no element of Aut P is tested.
+non-Fano fans and is the oracle for the transpose.  Every group is held as
+strong generators and an order, and nothing walks its elements: the fixed
+subspace V^G is the common kernel of g - I over the generators, and alpha
+projects onto it along the sum of the images of g - I.  Roots are the
+lattice points in relative interiors of facets, split into semisimple and
+unipotent.  Aut_0 P is the Weyl group W (Demazure's structure theorem),
+generated by one reflection per semisimple root; its order is read off the
+ray transpositions of those reflections.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, prod
 
 from .errors import (
     InvariantViolation,
@@ -23,6 +27,7 @@ from .fan import Fan, is_complete, is_fano, polytope_from_fan
 from .latticecount import enumerate_lattice_points
 from .linalg import (
     dot,
+    identity,
     integer_row,
     invert_rational,
     kernel_basis,
@@ -37,81 +42,44 @@ from .polytope import is_lattice_polytope
 
 @dataclass(frozen=True)
 class LatticeAutGroup:
-    """A finite group of unimodular matrices with its vertex permutations.
+    """A finite group of unimodular matrices, as generators and an order.
 
-    `vertex_permutations[g][i]` is the index of element g applied to
-    vertex i.  For fan-side groups the same slot holds ray permutations.
+    The generators are integer matrix tuples; the trivial group has none.
+    Fixed points, alpha and the Weyl order are read from the generators,
+    so the elements are never listed.
     """
 
-    elements: tuple  # of integer matrix tuples
-    vertex_permutations: tuple
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    def check_group_axioms(self):
-        """Closure from greedy generators S, in about |G| * |S| products.
-
-        An element is fixed by its permutation of a spanning set, so the
-        permutations must be distinct and hold the identity, and their
-        closure under S must never leave the set.  It ends as <S>: a group.
-        """
-        perms = self.vertex_permutations
-        elems = set(perms)
-        ident = tuple(range(len(perms[0])))
-        if len(elems) != self.order or ident not in elems:
-            raise InvariantViolation("automorphism permutations repeat or lack the identity")
-        _closure(perms, ident, elems)
-        return True
-
-    def generated_by(self, elements):
-        """The subgroup generated by `elements`, each of which must lie here.
-
-        Its closure is grown on the permutations, as in `check_group_axioms`.
-        """
-        perms = self.vertex_permutations
-        perm_of = dict(zip(self.elements, perms))
-        try:
-            gens = [perm_of[tuple(map(tuple, g))] for g in elements]
-        except KeyError:
-            raise ValidationError("an element does not lie in the group") from None
-        closure = _closure(gens, tuple(range(len(perms[0]))), set(perms))
-        keep = [i for i, q in enumerate(perms) if q in closure]
-        return LatticeAutGroup(
-            elements=tuple(self.elements[i] for i in keep),
-            vertex_permutations=tuple(perms[i] for i in keep),
-        )
+    generators: tuple
+    order: int
 
 
-def _closure(perms, ident, inside):
-    """<S> for generators S picked greedily from `perms`.
-
-    The closure grows by right multiplication by S, level by level, and
-    raises at the first product outside `inside`.
-    """
-    gens, closure = [], {ident}
-    for g in perms:
-        if g not in closure:
-            gens.append(g)
-            # closed under the old generators: times g, then new times all
-            frontier, step = closure, (g,)
-            while frontier:
-                fresh = {tuple(a[i] for i in s) for a in frontier for s in step}
-                fresh -= closure
-                if not fresh <= inside:
-                    raise InvariantViolation("automorphism set not closed under product")
-                closure, frontier, step = closure | fresh, fresh, gens
-    return closure
+def _orbit(point, perms):
+    """The orbit of a point index under the group generated by `perms`."""
+    orbit, frontier = {point}, [point]
+    while frontier:
+        fresh = {q[i] for i in frontier for q in perms} - orbit
+        orbit.update(fresh)
+        frontier = fresh
+    return orbit
 
 
-def _search_lattice_maps(points, pair_profiles, fingerprints, n):
-    """All unimodular matrices permuting `points`, by frame search.
+def _search_lattice_maps(points, fingerprints, pair_row, n, keep=None):
+    """Strong generators and the order of the unimodular maps permuting `points`.
 
-    A frame of n linearly independent points is fixed; candidate images
-    are pruned by per-point fingerprints and pairwise profiles before the
-    matrix is solved and checked exactly.  An integral matrix permuting a
-    spanning set has finite order, so its determinant is +-1.
+    A frame f_0..f_{n-1} of linearly independent points is fixed; a map is
+    determined by the frame's images, which are pruned by per-point
+    fingerprints and by the pairwise profiles `pair_row(i)[j]` against the
+    earlier images, then solved and checked exactly.  An integral matrix
+    permuting a spanning set has finite order, so its determinant is +-1.
+    `keep(perm)`, when given, must also accept the point permutation.
+
+    This is the stabilizer-chain search of Sims.  Level i runs from n-1
+    down to 0 with f_0..f_{i-1} fixed.  A candidate image of f_i already in
+    the orbit of f_i under the generators found so far is skipped (they all
+    fix f_0..f_{i-1}); for any other, the first map sending f_i there, if
+    one exists, becomes a new generator.  The orbit then is that of the
+    level's stabilizer, and |G| is the product of the orbit lengths.
+    Profile rows are built only for frame points and images tried.
     """
     m = len(points)
     frame = []
@@ -124,49 +92,66 @@ def _search_lattice_maps(points, pair_profiles, fingerprints, n):
         raise ValidationError("points do not span the space")
 
     index_of = {p: i for i, p in enumerate(points)}
-    results = {}
     # sigma maps frame point r to image r, so sigma = B^T (F^T)^-1 for the
     # frame rows F and the image rows B: entry (i, j) is column i of B
     # dotted with row j of F^-1, held as an integer row w over den.
     inverse = [integer_row(r) for r in invert_rational([points[f] for f in frame])]
+    rows = {}
 
-    def extend(pos, images):
-        if pos == n:
-            sigma = []
-            for col in zip(*(points[i] for i in images)):
-                entries = [divmod(dot(col, w), den) for w, den in inverse]
-                if any(r for _, r in entries):
-                    return
-                sigma.append(tuple(q for q, _ in entries))
-            sigma = tuple(sigma)
-            perm = []
-            for p in points:
-                i = index_of.get(mat_vec(sigma, p))
-                if i is None:
-                    return
-                perm.append(i)
-            if len(set(perm)) == m:
-                results[sigma] = tuple(perm)
-            return
-        f = frame[pos]
-        for cand in range(m):
-            if fingerprints[cand] != fingerprints[f]:
-                continue
-            ok = True
-            for prev_pos in range(pos):
-                if (
-                    pair_profiles[frame[prev_pos]][f]
-                    != pair_profiles[images[prev_pos]][cand]
-                ):
-                    ok = False
-                    break
-            if ok:
-                images.append(cand)
-                extend(pos + 1, images)
-                images.pop()
+    def row(i):
+        if i not in rows:
+            rows[i] = pair_row(i)
+        return rows[i]
 
-    extend(0, [])
-    return results
+    def candidates(images):
+        f = frame[len(images)]
+        want = [(row(img), row(frame[q])[f]) for q, img in enumerate(images)]
+        return [
+            c
+            for c in range(m)
+            if fingerprints[c] == fingerprints[f] and all(r[c] == w for r, w in want)
+        ]
+
+    def leaf(images):
+        sigma = []
+        for col in zip(*(points[i] for i in images)):
+            entries = [divmod(dot(col, w), den) for w, den in inverse]
+            if any(r for _, r in entries):
+                return None
+            sigma.append(tuple(q for q, _ in entries))
+        sigma = tuple(sigma)
+        perm = []
+        for p in points:
+            i = index_of.get(mat_vec(sigma, p))
+            if i is None:
+                return None
+            perm.append(i)
+        if len(set(perm)) < m or (keep is not None and not keep(perm)):
+            return None
+        return sigma, tuple(perm)
+
+    def first_map(images):
+        if len(images) == n:
+            return leaf(images)
+        for c in candidates(images):
+            found = first_map(images + [c])
+            if found:
+                return found
+        return None
+
+    generators, perms, order = [], [], 1
+    for level in reversed(range(n)):
+        prefix = frame[:level]
+        orbit = _orbit(frame[level], perms)
+        for c in candidates(prefix):
+            if c not in orbit:
+                found = first_map(prefix + [c])
+                if found:
+                    generators.append(found[0])
+                    perms.append(found[1])
+                    orbit = _orbit(frame[level], perms)
+        order *= len(orbit)
+    return tuple(generators), order
 
 
 @lru_cache(maxsize=256)
@@ -174,125 +159,74 @@ def polytope_automorphisms(p):
     """Aut P for a full-dimensional lattice polytope.
 
     Frame search seeded by vertex fingerprints (pairings against every
-    facet), verified by exact vertex-set preservation, with a final group
-    check on generators.  On a Fano fan Aut Delta is its transpose.
+    facet), verified by exact vertex-set preservation.  On a Fano fan
+    Aut Delta is its transpose.
     """
     if not is_lattice_polytope(p):
         raise NonLatticePolytopeError(
             "lattice automorphisms are defined for lattice polytopes"
         )
-    n = p.dim
     verts = tuple(tuple(int(x) for x in v) for v in p.vertices)
     # integral normals and vertices: the right-hand sides are integers
-    facets = [(a, int(rhs)) for a, rhs in p.inequalities]
-    fingerprints = [
-        tuple(sorted((dot(a, v), rhs) for a, rhs in facets)) for v in verts
-    ]
-    pair_profiles = [
-        [
-            tuple(sorted((dot(a, v), dot(a, w), rhs) for a, rhs in facets))
-            for w in verts
-        ]
-        for v in verts
-    ]
-    found = _search_lattice_maps(verts, pair_profiles, fingerprints, n)
+    rhs = [int(r) for _, r in p.inequalities]
+    vals = [[dot(a, v) for a, _ in p.inequalities] for v in verts]
+    fingerprints = [tuple(sorted(zip(x, rhs))) for x in vals]
 
-    elements = tuple(sorted(found))
-    group = LatticeAutGroup(
-        elements=elements, vertex_permutations=tuple(found[g] for g in elements)
-    )
-    group.check_group_axioms()
-    return group
+    def pair_row(i):
+        return [tuple(sorted(zip(vals[i], x, rhs))) for x in vals]
+
+    generators, order = _search_lattice_maps(verts, fingerprints, pair_row, p.dim)
+    return LatticeAutGroup(generators=generators, order=order)
 
 
 @lru_cache(maxsize=256)
 def fan_automorphisms(f):
     """Aut Delta: unimodular maps permuting the rays and the cones.
 
-    The route for non-Fano fans; on a Fano fan, an oracle checked to be the
-    transpose of Aut P.
+    The route for non-Fano fans.  On a Fano fan it is an oracle for the
+    transpose of Aut P: the orders agree and every transposed generator
+    maps P's vertex set onto itself.
     """
     if not is_complete(f):
         raise ValidationError("fan automorphisms computed for complete fans only")
-    n = f.dim
-    rays = f.rays
+    cones_of = [[c for c in f.max_cones if i in c] for i in range(len(f.rays))]
+    fingerprints = [(len(cs), tuple(sorted(len(c) for c in cs))) for cs in cones_of]
     cone_sets = set(f.max_cones)
-    ray_cone_count = [sum(1 for c in f.max_cones if i in c) for i in range(len(rays))]
-    fingerprints = [
-        (ray_cone_count[i], tuple(sorted(len(c) for c in f.max_cones if i in c)))
-        for i in range(len(rays))
-    ]
-    shared = [
-        [
-            tuple(
-                sorted(
-                    (len(c),)
-                    for c in f.max_cones
-                    if i in c and j in c
-                )
-            )
-            for j in range(len(rays))
-        ]
-        for i in range(len(rays))
-    ]
-    found = _search_lattice_maps(rays, shared, fingerprints, n)
 
-    kept = [
-        (g, perm)
-        for g, perm in sorted(found.items())
-        if {tuple(sorted(perm[i] for i in cone)) for cone in f.max_cones} == cone_sets
-    ]
-    group = LatticeAutGroup(
-        elements=tuple(g for g, _ in kept),
-        vertex_permutations=tuple(perm for _, perm in kept),
+    def pair_row(i):
+        return [
+            tuple(sorted((len(c),) for c in cones_of[i] if j in c))
+            for j in range(len(f.rays))
+        ]
+
+    def permutes_cones(perm):
+        return {tuple(sorted(perm[i] for i in c)) for c in f.max_cones} == cone_sets
+
+    generators, order = _search_lattice_maps(
+        f.rays, fingerprints, pair_row, f.dim, keep=permutes_cones
     )
-    group.check_group_axioms()
     if is_fano(f):
         p = polytope_from_fan(f)
-        dual = polytope_automorphisms(p)
-        transposed = set(transpose(g) for g in group.elements)
-        if transposed != set(dual.elements):
+        vertex_set = {tuple(int(x) for x in v) for v in p.vertices}  # a lattice polytope
+        if order != polytope_automorphisms(p).order or any(
+            {mat_vec(transpose(g), v) for v in vertex_set} != vertex_set for g in generators
+        ):
             raise InvariantViolation("Aut Delta is not the transpose of Aut P")
-    return group
+    return LatticeAutGroup(generators=generators, order=order)
 
 
-def fixed_subspace(group_or_elements):
-    """Primitive integer basis of the subspace fixed by every element."""
-    if isinstance(group_or_elements, LatticeAutGroup):
-        elements = group_or_elements.elements
-    else:
-        elements = tuple(group_or_elements)
-    if not elements:
-        raise ValidationError("empty element list")
-    n = len(elements[0])
-    rows = []
-    for g in elements:
-        for i in range(n):
-            rows.append(tuple(g[i][j] - (1 if i == j else 0) for j in range(n)))
-    if all(all(x == 0 for x in r) for r in rows):
-        return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return kernel_basis(rows)
+def fixed_subspace(generators, n):
+    """Primitive integer basis of V^G in Q^n, G generated by `generators`.
 
-
-def group_sum(group):
-    """S, the sum of the elements of a finite group G.
-
-    S/|G| is a projection onto the fixed subspace V^G; it maps a G-invariant
-    polytope P onto its fixed slice P cap V^G.
+    A vector is fixed by G exactly when every generator fixes it, so V^G is
+    the common kernel of g - I over the generators; with none it is Q^n.
     """
-    n = len(group.elements[0])
-    return tuple(
-        tuple(sum(g[i][j] for g in group.elements) for j in range(n)) for i in range(n)
-    )
-
-
-def fixed_space_dimension(group):
-    """dim V^G = tr(S)/|G|, the trace of the projection S/|G|."""
-    s = group_sum(group)
-    trace = sum(s[i][i] for i in range(len(s)))
-    if trace % group.order:
-        raise InvariantViolation("trace of the group sum is not a multiple of |G|")
-    return trace // group.order
+    rows = [
+        tuple(g[i][j] - (i == j) for j in range(n)) for g in generators for i in range(n)
+    ]
+    if not any(any(r) for r in rows):
+        return identity(n)
+    return kernel_basis(rows)
 
 
 @dataclass(frozen=True)
@@ -369,7 +303,7 @@ def classify_symmetry(f):
     p = polytope_from_fan(f)
     vset = set(p.vertices)
     central = vset == set(tuple(-x for x in v) for v in vset)
-    fixed = fixed_space_dimension(polytope_automorphisms(p))
+    fixed = len(fixed_subspace(polytope_automorphisms(p).generators, f.dim))
     lattice_sym = roots(f).is_centrally_lattice_symmetric()
     return SymmetryClassification(
         centrally_symmetric=central,
@@ -397,25 +331,35 @@ def aut0_subgroup(p, root_data=None):
 
     A semisimple root m pairs to -1 with exactly one ray v_m and to +1 with
     exactly one ray v_-m, and to 0 with the rest; its reflection
-    u -> u - <u, v_-m - v_m> m sends m to -m and swaps the two rays.  W is
-    closed inside Aut P from these generators; a reflection outside Aut P
-    breaks the theorem and raises.  Cached, so the symmetry stage and
-    `demazure_report` of one `analyze` share one closure.
+    u -> u - <u, v_-m - v_m> m sends m to -m, and its transpose swaps v_m
+    and v_-m and fixes every other ray.  Each reflection must map P onto
+    itself, that is, its transpose must permute the facet normals -v_i:
+    one outside Aut P breaks the theorem and raises.  The rays span N, so
+    W acts faithfully on them as the group generated by those
+    transpositions, and |W| is the product of (block size)! over the
+    classes of rays they join.  Cached, so the symmetry stage and
+    `demazure_report` of one `analyze` share one result.
     """
     rays = rays_of_reflexive(p)
     if root_data is None:
         root_data = roots(Fan.from_rays(rays))
     n = p.dim
-    reflections = []
+    ray_set = set(rays)
+    reflections = {}
+    block = list(range(len(rays)))  # a class label per ray
     for m, _ in root_data.semisimple:
         pairings = [dot(m, v) for v in rays]
         if pairings.count(-1) != 1 or pairings.count(1) != 1:
             raise InvariantViolation(f"semisimple root {m} does not pair with two rays")
-        d = vec_sub(rays[pairings.index(1)], rays[pairings.index(-1)])
-        reflections.append(
-            tuple(tuple(int(i == j) - m[i] * d[j] for j in range(n)) for i in range(n))
-        )
-    try:
-        return polytope_automorphisms(p).generated_by(reflections)
-    except ValidationError:
-        raise InvariantViolation("a root reflection does not lie in Aut P") from None
+        lo, hi = pairings.index(-1), pairings.index(1)
+        d = vec_sub(rays[hi], rays[lo])
+        sigma = tuple(tuple(int(i == j) - m[i] * d[j] for j in range(n)) for i in range(n))
+        if sigma in reflections:  # m and -m give one reflection
+            continue
+        if {mat_vec(transpose(sigma), v) for v in rays} != ray_set:
+            raise InvariantViolation(f"the reflection of root {m} does not lie in Aut P")
+        reflections[sigma] = None
+        old, new = block[hi], block[lo]
+        block = [new if b == old else b for b in block]
+    order = prod(factorial(block.count(b)) for b in set(block))
+    return LatticeAutGroup(generators=tuple(reflections), order=order)

@@ -12,6 +12,7 @@ from itertools import combinations
 from math import gcd
 
 from toricsym.errors import UnboundedPolytopeError, ValidationError
+from toricsym import fan
 from toricsym.fan import cone_span_equations
 from toricsym.linalg import det, dot, kernel_basis, primitive_vector, rank, vec_scale
 from toricsym.polytope import HPolytope, Polytope, VPolytope, affine_rank
@@ -218,3 +219,9 @@ def is_strongly_convex(rays, n):
             if all(a >= 0 for a in v) or all(a <= 0 for a in v):
                 return False
     return True
+
+
+def cone_contains(rays, n, x):
+    """x lies in cone(rays), by the library's facet normals of the cone."""
+    eqs, ineqs = fan.cone_facet_normals(rays, n)
+    return all(dot(e, x) == 0 for e in eqs) and all(dot(u, x) >= 0 for u in ineqs)

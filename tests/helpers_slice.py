@@ -1,9 +1,10 @@
-"""The fixed-slice route to alpha, kept as an oracle for the group sum.
+"""The fixed-slice route to alpha, kept as an oracle for the projection.
 
-The library reads fixed points off the group sum S: dim V^G = tr(S)/|G|
-and P^G = conv{S.v/|G|}.  The route it replaced cuts P by the kernel of
-the stacked matrix (g - I) over every element g (`fixed_subspace`), changes
-coordinates into that kernel and runs a second H-to-V conversion there.
+The library projects each vertex onto V^G, the common kernel of g - I
+over the generators, and P^G is the hull of the projections.  The route
+it replaced cuts P by the kernel of the stacked matrix (g - I) over every
+element g (`fixed_subspace`), changes coordinates into that kernel and
+runs a second H-to-V conversion there.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 from toricsym.errors import ValidationError
 from toricsym.linalg import dot, integer_row, rank
-from toricsym.polytope import HPolytope, contains, vertices_from_inequalities
+from toricsym.polytope import HPolytope, Polytope, VPolytope, contains, vertices_from_inequalities
 from toricsym.stability import dual_norm
 from toricsym.symmetry import fixed_subspace
 
@@ -81,7 +82,7 @@ def intersect_with_subspace(p, basis):
 
 def slice_alpha(p, elements):
     """(alpha, dim V^G) for the elements of a group G <= Aut P, by the slice."""
-    basis = fixed_subspace(elements)
+    basis = fixed_subspace(elements, p.dim)
     if not basis:
         return Fraction(1), 0
     sl = intersect_with_subspace(p, basis)
@@ -89,3 +90,16 @@ def slice_alpha(p, elements):
         return Fraction(1), len(basis)
     best = max(dual_norm(v, p) for v in sl.ambient_vertices())
     return Fraction(1) / (1 + best), len(basis)
+
+
+def translate(p, t):
+    """P + t, with the same incidences."""
+    tv = _frac_vec(t)
+    return Polytope(
+        h=HPolytope(
+            dim=p.dim,
+            inequalities=tuple((a, rhs + dot(a, tv)) for a, rhs in p.inequalities),
+        ),
+        v=VPolytope(vertices=tuple(tuple(x + y for x, y in zip(v, tv)) for v in p.vertices)),
+        incidence=p.incidence,
+    )

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers_groups import elements_of, v_n_rays
 from helpers_reflexive import (
     random_unimodular,
     reflexive_polygon_classes,
@@ -20,7 +21,7 @@ from toricsym.datasets import load_bundled, nill_paffenholz
 from toricsym.demazure import demazure_report
 from toricsym.errors import ValidationError
 from toricsym.families import generate_futaki
-from toricsym.fan import is_complete, is_fano, is_smooth, polytope_from_fan
+from toricsym.fan import Fan, is_complete, is_fano, is_smooth, polytope_from_fan
 from toricsym.linalg import transpose
 from toricsym.latticecount import (
     barycenter_rational_function,
@@ -292,10 +293,16 @@ def test_criterion_8_futaki_family():
             assert (bc == zero) == (n1 == n2), (n1, n2)
 
 
+def _clear_caches():
+    for fn in (polytope_from_fan, volume_and_barycenter, plan_for_polytope, is_complete,
+               is_fano, polytope_automorphisms, fan_automorphisms, roots, aut0_subgroup):
+        fn.cache_clear()
+
+
 def test_dim7_automorphism_groups():
-    # futaki(3,3), dimension 7: the three groups check closure on
-    # generators.  The caches are cleared so that the budget times the
-    # searches, not earlier tests.
+    # futaki(3,3), dimension 7: the three groups by the stabilizer-chain
+    # search and the Weyl blocks.  The caches are cleared so that the
+    # budget times the searches, not earlier tests.
     fan = generate_futaki(3, 3)
     p = polytope_from_fan(fan)
     rd = roots(fan)
@@ -307,7 +314,7 @@ def test_dim7_automorphism_groups():
         aut_delta = fan_automorphisms(fan)
         aut0 = aut0_subgroup(p, root_data=rd)
     assert aut_p.order == aut_delta.order == 1152
-    assert {transpose(g) for g in aut_delta.elements} == set(aut_p.elements)
+    assert {transpose(g) for g in elements_of(aut_delta, 7)} == elements_of(aut_p, 7)
     assert aut0.order == 576
     with Budget("dim-7 structure report", 1.0):
         rep = demazure_report(fan)
@@ -318,9 +325,7 @@ def test_dim7_analyze():
     # futaki(3,3) end to end, from cold caches.  Its scans memoize by
     # residual state; Ehrhart reads k = 1..7 and the rational function
     # behind the chain's zero branch k = 1..9.
-    for fn in (polytope_from_fan, volume_and_barycenter, plan_for_polytope, is_complete,
-               is_fano, polytope_automorphisms, fan_automorphisms, roots, aut0_subgroup):
-        fn.cache_clear()
+    _clear_caches()
     with Budget("dim-7 analyze", 6.0):
         rep = analyze(generate_futaki(3, 3), name="futaki_3_3")
     assert (rep["symmetry"]["aut_p_order"], rep["symmetry"]["aut0_p_order"]) == (1152, 576)
@@ -331,3 +336,43 @@ def test_dim7_analyze():
     assert rep["chain"]["consistent"]
     coefficients = [Fraction(c) for c in rep["ehrhart"]["coefficients"]]
     assert sum(c * 3 ** i for i, c in enumerate(coefficients)) == 1_362_705
+
+
+def test_dim6_v6_symmetry():
+    # V_6: 140 vertices and |Aut P| = 2 * 7!, with no roots, from cold caches.
+    fan = Fan.from_rays(v_n_rays(6))
+    _clear_caches()
+    with Budget("dim-6 V_6 Aut P, Aut_0 P, classification and alpha", 1.0):
+        p = polytope_from_fan(fan)
+        aut_p = polytope_automorphisms(p)
+        aut0 = aut0_subgroup(p)
+        cls = classify_symmetry(fan)
+        alpha = alpha_invariant(fan)
+    assert (aut_p.order, aut0.order) == (10080, 1)
+    assert (cls.fixed_space_dimension, alpha) == (0, 1)
+
+
+def test_dim8_futaki_1_6_groups():
+    # futaki(1,6): Aut P is the Weyl group S_7 x S_2 of its roots, so the
+    # component group is trivial.
+    fan = generate_futaki(1, 6)
+    _clear_caches()
+    with Budget("dim-8 futaki(1,6) Aut P and structure report", 4.0):
+        aut_p = polytope_automorphisms(polytope_from_fan(fan))
+        rep = demazure_report(fan)
+    assert aut_p.order == rep.weyl_order == 10080
+    assert rep.component_group_order == 1
+
+
+def test_dim8_v8_symmetry():
+    # V_8: 630 vertices and |Aut P| = 2 * 9!.  Its volume is not computed.
+    fan = Fan.from_rays(v_n_rays(8))
+    _clear_caches()
+    with Budget("dim-8 V_8 Aut P, Aut_0 P, classification and alpha", 4.0):
+        p = polytope_from_fan(fan)
+        aut_p = polytope_automorphisms(p)
+        aut0 = aut0_subgroup(p)
+        cls = classify_symmetry(fan)
+        alpha = alpha_invariant(fan)
+    assert (aut_p.order, aut0.order) == (725_760, 1)
+    assert (cls.fixed_space_dimension, alpha) == (0, 1)

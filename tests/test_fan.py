@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 import toricsym.fan as fan_module
+from helpers_hull import cone_contains
 from toricsym.datasets import BUNDLED, load_bundled
 from toricsym.errors import UnboundedPolytopeError, ValidationError
 from toricsym.fan import (
     Fan,
-    cone_contains,
     face_fan_from_polytope,
     is_complete,
     is_fano,

@@ -6,8 +6,9 @@ P, with the same right-hand sides and the same incidences, and the vertex
 description computed back from the facets is the one we started from.
 The lattice points of k(A.P) are the A-images of those of kP, so the scan
 finds as many and their coordinate sums map by A.  Aut P and Aut_0 P are
-conjugated by A, so their orders, alpha and dim V^G = tr(S)/|G| do not
-change, nor do the volume, the Ehrhart polynomial and the Demazure data.
+conjugated by A, so their orders, alpha and dim V^G do not change, nor do
+the volume, the Ehrhart polynomial, the Demazure data and the verdict on
+every node of the implication chain.
 """
 
 from functools import lru_cache
@@ -18,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from helpers_reflexive import random_unimodular
+from toricsym.chain import verify_implication_chain
 from toricsym.datasets import load_bundled
 from toricsym.demazure import demazure_report
 from toricsym.fan import Fan, polytope_from_fan
@@ -100,6 +102,7 @@ def test_alpha_and_fixed_dimension_of_unimodular_image(name, rng):
     image = Fan.make(f.dim, [mat_vec(a, r) for r in f.rays], f.max_cones)
     assert alpha_invariant(image) == alpha_invariant(f)
     assert classify_symmetry(image) == classify_symmetry(f)
+    assert verify_implication_chain(image).nodes == verify_implication_chain(f).nodes
     # The polytope moves by A^-T: its groups are conjugated, and its volume,
     # lattice points and the Demazure data do not change.
     p, q = polytope_from_fan(f), polytope_from_fan(image)

@@ -131,7 +131,7 @@ def test_quantized_barycenter_dp1(dp1_fan):
 def test_quantized_barycenter_equivariance(del_pezzo_fans):
     for f in del_pezzo_fans.values():
         p = polytope_from_fan(f)
-        aut = polytope_automorphisms(p).elements
+        aut = polytope_automorphisms(p).generators
         for k in (1, 2, 3):
             bc = quantized_barycenter(p, k)
             for g in aut:

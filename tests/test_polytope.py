@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from helpers_slice import intersect_with_subspace
+from helpers_slice import intersect_with_subspace, translate
 from test_acceptance import Budget
 from toricsym.errors import UnboundedPolytopeError, ValidationError
 from toricsym.fan import Fan, is_complete, polytope_from_fan
@@ -15,7 +15,6 @@ from toricsym.polytope import (
     dilate,
     is_lattice_polytope,
     polytope_from_vertices,
-    translate,
     vertices_from_inequalities,
     volume_and_barycenter,
 )

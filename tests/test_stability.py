@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers_groups import trivial_subgroup
+from helpers_groups import TRIVIAL_GROUP, elements_of
 from helpers_slice import intersect_with_subspace, slice_alpha
 from toricsym.datasets import BUNDLED, load_bundled
 from toricsym.errors import NonFanoError, ValidationError
@@ -20,7 +20,6 @@ from toricsym.stability import (
 from toricsym.symmetry import (
     aut0_subgroup,
     classify_symmetry,
-    fixed_space_dimension,
     fixed_subspace,
     polytope_automorphisms,
 )
@@ -94,7 +93,7 @@ def test_alpha_dp2_with_containment_oracle(dp2_fan):
     alpha = alpha_invariant(dp2_fan)
     assert alpha == Fraction(1, 3)
     p = polytope_from_fan(dp2_fan)
-    basis = fixed_subspace(polytope_automorphisms(p).elements)
+    basis = fixed_subspace(polytope_automorphisms(p).generators, 2)
     sl = intersect_with_subspace(p, basis)
     endpoints = sl.ambient_vertices()
 
@@ -119,7 +118,7 @@ def test_alpha_antitone_in_subgroup(del_pezzo_fans, p1xp1_fan):
     # alpha is no larger.  The trivial group fixes all of P.
     for f in del_pezzo_fans.values():
         a_full = alpha_invariant(f)
-        a_triv = alpha_invariant(f, trivial_subgroup(f.dim))
+        a_triv = alpha_invariant(f, TRIVIAL_GROUP)
         assert a_triv <= a_full
         p = polytope_from_fan(f)
         worst = max(dual_norm(v, p) for v in p.vertices)
@@ -148,7 +147,8 @@ def test_alpha_rejects_elements_outside_aut(p1xp1_fan, dp2_fan):
 
 def test_alpha_and_fixed_dimension_match_slice_oracle():
     # 8 bundled fans and five futaki fans, each with Aut P, Aut_0 P and the
-    # trivial group: the group sum agrees with the kernel-and-slice route.
+    # trivial group: the projection from the generators agrees with the
+    # kernel-and-slice route over every element.
     fans = [(name, load_bundled(name)) for name in BUNDLED] + [
         (f"futaki_{a}_{b}", generate_futaki(a, b))
         for a, b in ((1, 1), (2, 2), (1, 3), (2, 3), (3, 3))
@@ -156,17 +156,19 @@ def test_alpha_and_fixed_dimension_match_slice_oracle():
     for name, f in fans:
         p = polytope_from_fan(f)
         full = polytope_automorphisms(p)
-        assert classify_symmetry(f).fixed_space_dimension == len(fixed_subspace(full))
-        for g in (full, aut0_subgroup(p), trivial_subgroup(f.dim)):
-            expected = slice_alpha(p, g.elements)
-            got = (alpha_invariant(f, g), fixed_space_dimension(g))
+        assert classify_symmetry(f).fixed_space_dimension == len(
+            fixed_subspace(full.generators, f.dim)
+        )
+        for g in (full, aut0_subgroup(p), TRIVIAL_GROUP):
+            expected = slice_alpha(p, elements_of(g, f.dim))
+            got = (alpha_invariant(f, g), len(fixed_subspace(g.generators, f.dim)))
             assert got == expected, (name, g.order)
 
 
 def test_alpha_one_iff_trivial_fixed_slice(del_pezzo_fans, fano52_fan):
     fans = list(del_pezzo_fans.values()) + [fano52_fan]
     for f in fans:
-        fixed = fixed_subspace(polytope_automorphisms(polytope_from_fan(f)).elements)
+        fixed = fixed_subspace(polytope_automorphisms(polytope_from_fan(f)).generators, f.dim)
         assert (alpha_invariant(f) == 1) == (len(fixed) == 0)
 
 

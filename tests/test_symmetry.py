@@ -4,31 +4,31 @@ from itertools import product
 import pytest
 
 from helpers_groups import (
+    TRIVIAL_GROUP,
     aut0_by_facet_predicate,
-    identity_index,
+    aut_delta_maps,
+    aut_p_maps,
+    elements_of,
     pairwise_group_check,
-    trivial_subgroup,
     v_n_rays,
-    with_extra_element,
-    with_repeated_permutation,
-    without_element,
 )
+from test_demazure import hirzebruch
 from toricsym import symmetry
 from toricsym.datasets import BUNDLED, load_bundled
 from toricsym.errors import InvariantViolation, NonLatticePolytopeError, ValidationError
 from toricsym.families import generate_futaki
-from toricsym.fan import Fan, polytope_from_fan
+from toricsym.fan import Fan, is_fano, polytope_from_fan
 from toricsym.latticecount import enumerate_lattice_points
-from toricsym.linalg import det, dot, mat_vec, transpose
+from toricsym.linalg import det, dot, identity, mat_vec, transpose
 from toricsym.polytope import polytope_from_vertices, volume_and_barycenter
 from toricsym.report import analyze
+from toricsym.stability import alpha_invariant
 from toricsym.symmetry import (
+    RootData,
     aut0_subgroup,
     classify_symmetry,
     fan_automorphisms,
-    fixed_space_dimension,
     fixed_subspace,
-    group_sum,
     polytope_automorphisms,
     roots,
 )
@@ -40,6 +40,15 @@ def bundled_and_futaki():
     return fans + [
         (f"futaki_{a}_{b}", generate_futaki(a, b)) for a, b in ((2, 2), (1, 3), (2, 3))
     ]
+
+
+def bundled_futaki_and_v4():
+    """The 8 bundled fans, futaki (1,1) to (3,3) and V_4."""
+    fans = [(name, load_bundled(name)) for name in BUNDLED]
+    fans += [
+        (f"futaki_{a}_{b}", generate_futaki(a, b)) for a in (1, 2, 3) for b in (1, 2, 3)
+    ]
+    return fans + [("V_4", Fan.from_rays(v_n_rays(4)))]
 
 
 def brute_force_lattice_maps(point_set, bound=4):
@@ -68,7 +77,7 @@ def test_aut_dp1(dp1_fan):
     g = polytope_automorphisms(p)
     assert g.order == 2
     swap = ((0, 1), (1, 0))
-    assert swap in g.elements
+    assert elements_of(g, 2) == {identity(2), swap}
 
 
 def test_aut_square(p1xp1_fan):
@@ -89,33 +98,49 @@ def test_aut_rejects_rational_polytope():
 
 
 def test_group_axioms():
-    # The check on generators agrees with the pairwise matrix oracle.
+    # The closure of the generators passes the pairwise matrix oracle.
     for name, f in bundled_and_futaki():
         p = polytope_from_fan(f)
         for g in (polytope_automorphisms(p), aut0_subgroup(p), fan_automorphisms(f)):
-            assert g.check_group_axioms() and pairwise_group_check(g), name
+            elements = elements_of(g, f.dim)
+            assert pairwise_group_check(elements), name
             # The frame search keeps no determinant filter: an integral map
             # permuting a spanning set has finite order.
-            assert all(det(e) in (1, -1) for e in g.elements), name
+            assert all(det(e) in (1, -1) for e in elements), name
 
 
 def test_group_check_rejects_non_groups():
+    # The pairwise oracle rejects a group with one element left out, the
+    # group without its identity, and Aut_0 P with one more element.
     for f in (load_bundled("p1xp1"), generate_futaki(2, 2)):
         p = polytope_from_fan(f)
-        full = polytope_automorphisms(p)
-        e = identity_index(full)
-        for bad in (
-            without_element(full, (e + 1) % full.order),
-            without_element(full, e),
-            with_extra_element(aut0_subgroup(p), full),
-        ):
-            with pytest.raises(InvariantViolation):
-                bad.check_group_axioms()
+        full = elements_of(polytope_automorphisms(p), f.dim)
+        weyl = elements_of(aut0_subgroup(p), f.dim)
+        ident = identity(f.dim)
+        other = min(full - {ident})
+        extra = min(full - weyl)
+        for bad in (full - {other}, full - {ident}, weyl | {extra}):
             with pytest.raises(InvariantViolation):
                 pairwise_group_check(bad)
-        # The matrices still form a group; only the permutations repeat.
-        with pytest.raises(InvariantViolation, match="repeat"):
-            with_repeated_permutation(full).check_group_axioms()
+
+
+def test_generators_close_to_all_lattice_maps():
+    # Two routes to each group: the closure of the strong generators, and
+    # the enumeration of every map; the order is the number of elements.
+    # F_2, F_3, F_5 and P(1,1,3) are not Fano: only Aut Delta is searched.
+    non_fano = [(f"F_{a}", hirzebruch(a)) for a in (2, 3, 5)]
+    non_fano.append(("P113", Fan.make(2, [(1, 0), (0, 1), (-1, -3)], [(0, 1), (1, 2), (0, 2)])))
+    assert not any(is_fano(f) for _, f in non_fano)
+    for name, f in bundled_futaki_and_v4() + non_fano:
+        groups = [(fan_automorphisms(f), aut_delta_maps(f))]
+        if is_fano(f):
+            p = polytope_from_fan(f)
+            groups.append((polytope_automorphisms(p), aut_p_maps(p)))
+        for g, maps in groups:
+            elements = elements_of(g, f.dim)
+            assert elements == set(maps), name
+            assert g.order == len(elements), name
+    assert polytope_automorphisms(polytope_from_fan(Fan.from_rays(v_n_rays(4)))).order == 240
 
 
 def test_fan_aut_matches_polytope_aut():
@@ -125,7 +150,7 @@ def test_fan_aut_matches_polytope_aut():
         gf = fan_automorphisms(f)  # transpose duality asserted inside
         gp = polytope_automorphisms(polytope_from_fan(f))
         assert gf.order == gp.order, name
-        assert {transpose(g) for g in gf.elements} == set(gp.elements), name
+        assert {transpose(g) for g in elements_of(gf, f.dim)} == elements_of(gp, f.dim), name
 
 
 def test_fan_aut_weighted_112(w112_fan):
@@ -150,52 +175,53 @@ def test_fan_aut_weighted_112(w112_fan):
         if imgcones == cones:
             brute.append(((a, b), (c, d)))
     assert len(brute) == 2
-    assert set(brute) == set(g.elements)
+    assert set(brute) == elements_of(g, 2)
 
 
 def test_fixed_subspace_p2(p2_fan):
-    g = polytope_automorphisms(polytope_from_fan(p2_fan)).elements
-    assert fixed_subspace(g) == ()
+    g = polytope_automorphisms(polytope_from_fan(p2_fan)).generators
+    assert fixed_subspace(g, 2) == ()
 
 
 def test_fixed_subspace_dp1(dp1_fan):
-    g = polytope_automorphisms(polytope_from_fan(dp1_fan)).elements
-    assert fixed_subspace(g) == ((1, 1),)
+    g = polytope_automorphisms(polytope_from_fan(dp1_fan)).generators
+    assert fixed_subspace(g, 2) == ((1, 1),)
 
 
 def test_fixed_subspace_trivial_group():
-    g = trivial_subgroup(2)
-    basis = fixed_subspace(g)
-    assert len(basis) == 2
+    assert fixed_subspace(TRIVIAL_GROUP.generators, 2) == identity(2)
 
 
-def test_group_sum_fixes_the_barycenter():
-    # Bc(P) is fixed by Aut P, so S.Bc = |G|.Bc; S/|G| is a projection of
-    # trace dim V^G, the length of the kernel basis.
+def test_fixed_subspace_holds_the_barycenter():
+    # Bc(P) is fixed by Aut P, so the group sum S has S.Bc = |G|.Bc; S/|G|
+    # is a projection of trace dim V^G, the length of the kernel basis
+    # from the generators.
     for name in BUNDLED:
         p = polytope_from_fan(load_bundled(name))
-        for g in (polytope_automorphisms(p), aut0_subgroup(p), trivial_subgroup(p.dim)):
-            s = group_sum(g)
-            _, bc = volume_and_barycenter(p)
+        _, bc = volume_and_barycenter(p)
+        for g in (polytope_automorphisms(p), aut0_subgroup(p), TRIVIAL_GROUP):
+            elements = elements_of(g, p.dim)
+            s = [[sum(e[i][j] for e in elements) for j in range(p.dim)] for i in range(p.dim)]
             assert mat_vec(s, bc) == tuple(g.order * x for x in bc), name
-            assert fixed_space_dimension(g) == len(fixed_subspace(g)), name
+            trace = sum(s[i][i] for i in range(p.dim))
+            assert trace == g.order * len(fixed_subspace(g.generators, p.dim)), name
 
 
-def test_generated_by_closes_generators_inside_the_group(p1xp1_fan, dp2_fan):
-    full = polytope_automorphisms(polytope_from_fan(p1xp1_fan))
+def test_alpha_closes_generators_inside_the_group(p1xp1_fan, dp2_fan):
+    # H names the group it generates; every element must lie in Aut P.
     swap, minus = ((0, 1), (1, 0)), ((-1, 0), (0, -1))
-    assert full.generated_by([swap]).order == 2
-    assert full.generated_by([swap, minus]).order == 4
-    assert full.generated_by([swap, ((0, -1), (1, 0))]) == full
-    assert full.generated_by([]).elements == (((1, 0), (0, 1)),)
+    rotation = ((0, -1), (1, 0))
+    assert alpha_invariant(p1xp1_fan, [swap]) == Fraction(1, 2)
+    assert alpha_invariant(p1xp1_fan, [swap, minus]) == 1
+    assert alpha_invariant(p1xp1_fan, [swap, rotation]) == alpha_invariant(p1xp1_fan)
+    assert alpha_invariant(p1xp1_fan, []) == Fraction(1, 2)
     for bad in (((1, 1), (0, 1)), ((2, 0), (0, 1)), ((1, 0, 0), (0, 1, 0))):
         with pytest.raises(ValidationError):
-            full.generated_by([swap, bad])
+            alpha_invariant(p1xp1_fan, [swap, bad])
     # The swap lies in Aut P of dp2 but the rotation of the square does not.
-    dp2 = polytope_automorphisms(polytope_from_fan(dp2_fan))
-    assert dp2.generated_by([[[0, 1], [1, 0]]]).order == 2
+    assert alpha_invariant(dp2_fan, [[[0, 1], [1, 0]]]) == alpha_invariant(dp2_fan)
     with pytest.raises(ValidationError):
-        dp2.generated_by([((0, -1), (1, 0))])
+        alpha_invariant(dp2_fan, [rotation])
 
 
 def test_roots_p2(p2_fan):
@@ -261,7 +287,7 @@ def test_roots_equal_facet_interior_points(del_pezzo_fans, fano52_fan):
 def test_aut_permutes_root_sets(del_pezzo_fans):
     for f in del_pezzo_fans.values():
         rd = roots(f)
-        for g in polytope_automorphisms(polytope_from_fan(f)).elements:
+        for g in polytope_automorphisms(polytope_from_fan(f)).generators:
             for part in (rd.root_set,
                          frozenset(m for m, _ in rd.semisimple),
                          frozenset(m for m, _ in rd.unipotent)):
@@ -306,40 +332,37 @@ def test_aut0_orders(p2_fan, p1xp1_fan, dp1_fan, dp2_fan, dp3_fan):
         sub = aut0_subgroup(p, root_data=roots(f))
         assert sub.order == expected[id(f)]
         full = polytope_automorphisms(p)
-        assert set(sub.elements) <= set(full.elements)
+        assert elements_of(sub, 2) <= elements_of(full, 2)
 
 
 def test_aut0_weyl_group_matches_facet_predicate():
-    # Two routes to Aut_0 P: the closure of the root reflections, and the
-    # facet predicate tested on every element of Aut P.
-    fans = [(name, load_bundled(name)) for name in BUNDLED]
-    fans += [
-        (f"futaki_{a}_{b}", generate_futaki(a, b))
-        for a, b in ((1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3))
-    ]
-    fans.append(("V_4", Fan.from_rays(v_n_rays(4))))
+    # Three routes to Aut_0 P: |W| from the ray blocks, the closure of the
+    # root reflections, and the facet predicate tested on every element of
+    # Aut P.
+    fans = bundled_futaki_and_v4()
     for name, f in fans:
         p = polytope_from_fan(f)
         weyl = aut0_subgroup(p, root_data=roots(f))
-        assert set(weyl.elements) == set(aut0_by_facet_predicate(p, roots(f)).elements), name
-        assert weyl.check_group_axioms(), name
+        elements = elements_of(weyl, f.dim)
+        assert elements == aut0_by_facet_predicate(p, roots(f)), name
+        assert weyl.order == len(elements), name
     # V_4 has no roots, so W is trivial inside its Aut P of order 240.
     assert aut0_subgroup(polytope_from_fan(fans[-1][1])).order == 1
 
 
-def test_aut0_raises_on_a_reflection_outside_aut_p(monkeypatch, p2_fan):
+def test_aut0_raises_on_a_reflection_outside_aut_p(p1xp1_fan):
     # A broken invariant, not bad input: the theorem puts every root
-    # reflection in Aut P.
-    p = polytope_from_fan(p2_fan)
-    full = polytope_automorphisms(p)
-    monkeypatch.setattr(
-        symmetry, "polytope_automorphisms",
-        lambda q: full.generated_by([]) if q == p else polytope_automorphisms(q),
-    )
-    aut0_subgroup.cache_clear()
+    # reflection in Aut P.  This "root" of the square pairs -1, 2, 1, -2
+    # with its rays: one -1 and one +1, but its reflection moves a third
+    # ray off the ray set, and maps the vertex (1, 1) to (-1, 5).
+    p = polytope_from_fan(p1xp1_fan)
+    rays = symmetry.rays_of_reflexive(p)
+    m = (-1, 2)
+    assert sorted(dot(m, v) for v in rays) == [-2, -1, 1, 2]
+    lo = [dot(m, v) for v in rays].index(-1)
+    fake = RootData(roots=((m, lo),), semisimple=((m, lo),), unipotent=())
     with pytest.raises(InvariantViolation, match="reflection"):
-        aut0_subgroup(p)
-    aut0_subgroup.cache_clear()
+        aut0_subgroup(p, root_data=fake)
 
 
 def test_aut0_dp1_is_full_group(dp1_fan):
@@ -349,13 +372,13 @@ def test_aut0_dp1_is_full_group(dp1_fan):
 
 def test_fan_aut_fano52(fano52_fan):
     g = fan_automorphisms(fano52_fan)
-    fixed = fixed_subspace([transpose(h) for h in g.elements])
+    fixed = fixed_subspace([transpose(h) for h in g.generators], 3)
     assert len(fixed) == 1  # alpha < 1 comes from this one fixed line
 
 
 def test_analyze_computes_aut0_once(monkeypatch):
     # The symmetry stage and demazure_report both ask for Aut_0 P; one
-    # search and one group check serve both.
+    # cached call serves both.
     calls = []
     rays = symmetry.rays_of_reflexive
     monkeypatch.setattr(symmetry, "rays_of_reflexive", lambda p: calls.append(p) or rays(p))
