@@ -26,7 +26,35 @@ their scans run the plain loop.
 
 One plan of P serves every dilation.  Its counts give the Ehrhart
 polynomial, and its coordinate sums, which are polynomials in k as well
-(weighted Ehrhart theory), give the barycenter rational function.
+(weighted Ehrhart theory), give the barycenter rational function, which
+the plan keeps once built.  So a large dilation need not be scanned: its
+E(k) and S(k) can be read off that function, which costs the scans at
+k = 1..n+2, P's volume (the a_n = vol check) and a few evaluations.
+`count_lattice_points` and `quantized_barycenter` do so only where every
+measured input was cheaper that way (CPU, 2-core Xeon, Python 3.11, from
+a built plan with no scans, against the scan of kP alone):
+
+- P is a lattice polytope with n >= 4 whose plan memoizes no level, and
+  k^(n-2) > ROUTE_MARGIN * (sum of j^(n-2) over j = 1..n+2), with
+  ROUTE_MARGIN = 8: from k = 27 for n = 4, 19 for n = 5, 17 for n = 6
+  and 16 for n = 7 and 8.  A scan of such a plan visits about k^(n-2)
+  prefixes.  On 88 random lattice 4-polytopes the polynomials won from
+  k = 8..19, on 19 of dimension 5 and 6 from k = 8..10; futaki(1,2)
+  crosses at k = 12-13, and at k = 30 takes 0.02 s against 0.14 s.  The
+  largest k^(n-2) / sum at a crossover was 3.97 (a lattice 4-simplex
+  with coordinates in -1..1, k = 19), and ROUTE_MARGIN about doubles it.
+- A memoized level merges prefixes into states, so such a scan costs
+  far less than k^(n-2), and symmetric plans tend to have costly
+  volumes.  Measured crossovers: futaki(1,3) k = 11, (1,4) 12, (2,3) 14,
+  (2,2) 14-16, (1,6) 15, (3,3) 18; V_4 49; unimodular simplices of
+  dimension 4-8 51-66, cubes of dimension 4-6 past 80; V_6 past 60 (its
+  volume alone takes 0.5-1.2 s); V_8 never, since its volume takes more
+  than 80 s while k = 12 scans in 0.02 s.  Those plans are always
+  scanned.
+- For n = 3 the scan is linear in k: on 89 random lattice 3-polytopes,
+  futaki(1,1) and fano3fold_5_2 the crossover ranged from k = 14 to
+  221, so threefolds are scanned, and so are n <= 2, rational polytopes
+  (whose counts are quasi-polynomials) and every k below the rule.
 """
 
 from dataclasses import dataclass, field
@@ -57,7 +85,9 @@ class EnumerationPlan:
     real point of the projection below.  `constants` is always empty;
     `bench/tracer.py` still reads it.  `scans` memoizes
     (count, sums) by k for this plan, so each dilation is scanned once
-    however many operations ask for it.
+    however many operations ask for it.  `rational` is None until
+    `barycenter_rational_function` of the plan's lattice polytope is
+    built, and then holds it.
 
     `memo_keys` is derived from `levels` when the plan is made.  For a
     level 1 <= j <= n-2 (the levels a scan enters by a call), take the
@@ -76,6 +106,7 @@ class EnumerationPlan:
     levels: tuple  # levels[j]: tuple of PlanRow with len(coeffs) == j+1
     constants: tuple = ()
     scans: dict = field(default_factory=dict, compare=False, repr=False)
+    rational: object = field(default=None, init=False, compare=False, repr=False)
     memo_keys: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -442,18 +473,83 @@ def _count_and_sum(plan, k):
     return plan.scans[k]
 
 
+ROUTE_MARGIN = 8  # about twice the largest ratio at a measured crossover
+
+
+def _from_polynomials(p, plan, k):
+    """Whether kP is read off P's polynomials rather than scanned.
+
+    The rule of the module docstring: P a lattice polytope with n >= 4
+    whose plan memoizes no level, and
+    k^(n-2) > ROUTE_MARGIN * (sum of j^(n-2) over the samples j = 1..n+2),
+    which implies k > n+2.
+    """
+    n = p.dim
+    if n < 4 or any(keys is not None for keys in plan.memo_keys):
+        return False
+    if k ** (n - 2) <= ROUTE_MARGIN * sum(j ** (n - 2) for j in range(1, n + 3)):
+        return False
+    return is_lattice_polytope(p)
+
+
+def _dilation_count_and_sum(p, k):
+    """(#(kP cap M), coordinate sums over kP cap M), exactly.
+
+    Where `_from_polynomials` holds, these are E(k) and
+    S_i(k) = k * numerator_i(k) of P's barycenter rational function,
+    which the plan keeps once built, and each is checked to be an
+    integer.  Every other k, and every rational polytope (whose counts
+    are quasi-polynomials), is scanned once per plan.
+    `plan_count_and_sum` stays the oracle for large k.
+    """
+    plan = plan_for_polytope(p)
+    if k in plan.scans or not _from_polynomials(p, plan, k):
+        return _count_and_sum(plan, k)
+    brf = barycenter_rational_function(p)
+    count = brf.ehrhart(k)
+    sums = [k * _evaluate(coeffs, k) for coeffs in brf.numerators]
+    if any(x.denominator != 1 for x in (count, *sums)):
+        raise InvariantViolation(f"Ehrhart polynomials are not integral at k = {k}")
+    return int(count), tuple(int(s) for s in sums)
+
+
 def count_lattice_points(p, k=1):
-    return _count_and_sum(plan_for_polytope(p), k)[0]
+    """#(kP cap M) for k >= 0 (0P is {0}).
+
+    A scan of kP, or, for a lattice polytope with n >= 4 whose plan
+    memoizes no level and k past the rule (k >= 27 for n = 4, 19 for
+    n = 5, 17 for n = 6, 16 for n = 7 and 8), the value of P's Ehrhart
+    polynomial; the module docstring has the rule and the measured
+    crossovers.
+    """
+    if k < 0:
+        raise ValidationError("k must be a nonnegative integer")
+    return _dilation_count_and_sum(p, k)[0]
 
 
 def quantized_barycenter(p, k):
-    """Average of the lattice points of kP, divided by k."""
+    """Average of the lattice points of kP, divided by k.
+
+    kP's count and sums come from a scan of kP, or, for a lattice polytope
+    with n >= 4 whose plan memoizes no level and k past the rule (k >= 27
+    for n = 4, 19 for n = 5, 17 for n = 6, 16 for n = 7 and 8), from P's
+    weighted Ehrhart polynomials; the module docstring has the rule and
+    the measured crossovers.
+    """
     if k < 1:
         raise ValidationError("k must be a positive integer")
-    count, sums = _count_and_sum(plan_for_polytope(p), k)
+    count, sums = _dilation_count_and_sum(p, k)
     if count == 0:
         raise ValidationError(f"{k}-th dilation contains no lattice points")
     return tuple(Fraction(s, k * count) for s in sums)
+
+
+def _evaluate(coefficients, k):
+    """The polynomial with these coefficients, low to high, at k, exactly."""
+    acc = Fraction(0)
+    for c in reversed(coefficients):
+        acc = acc * k + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -467,10 +563,7 @@ class EhrhartPolynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, k):
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * k + c
-        return acc
+        return _evaluate(self.coefficients, k)
 
 
 def _interpolate(samples):
@@ -526,13 +619,7 @@ class BarycenterRationalFunction:
 
     def barycenter_at(self, k):
         e = self.ehrhart(k)
-        out = []
-        for coeffs in self.numerators:
-            acc = Fraction(0)
-            for c in reversed(coeffs):
-                acc = acc * k + c
-            out.append(acc / e)
-        return tuple(out)
+        return tuple(_evaluate(coeffs, k) / e for coeffs in self.numerators)
 
     def is_identically_zero(self):
         return all(all(c == 0 for c in coeffs) for coeffs in self.numerators)
@@ -549,7 +636,7 @@ def barycenter_rational_function(p):
     scan of k = 1..n+1 gives the counts: E is interpolated from k = 0..n
     and checked against the count at k = n+1.  The result is checked
     against a directly enumerated barycenter at k = n+2, which is not a
-    sample.
+    sample.  The plan keeps the result, so the checks run once per plan.
     """
     if not is_lattice_polytope(p):
         raise NonLatticePolytopeError(
@@ -557,6 +644,8 @@ def barycenter_rational_function(p):
         )
     n = p.dim
     plan = plan_for_polytope(p)
+    if plan.rational is not None:
+        return plan.rational
     counts, sums = zip(*(_count_and_sum(plan, k) for k in range(1, n + 2)))
     e_p = _ehrhart_from_counts(p, (1,) + counts[:n])
     if e_p(n + 1) != counts[n]:
@@ -570,6 +659,7 @@ def barycenter_rational_function(p):
     )
     if brf.barycenter_at(n + 2) != quantized_barycenter(p, n + 2):
         raise InvariantViolation("rational barycenter disagrees with direct count")
+    object.__setattr__(plan, "rational", brf)
     return brf
 
 

@@ -7,8 +7,9 @@ the package) touches floating point, so every result is exact.
 Rank, kernel, determinant, solve and inverse all go through one
 fraction-free Gauss-Jordan elimination (Bareiss 1968): every row is scaled
 to integers once by the lcm of its denominators (`integer_row`), and after
-that every division is exact.  The Smith normal form keeps its own
-unimodular reduction.
+that every division is exact.  Rank, independent rows and determinant
+stop at the forward sweep, which clears only the rows below each pivot.
+The Smith normal form keeps its own unimodular reduction.
 """
 
 from dataclasses import dataclass
@@ -57,6 +58,8 @@ def gcd_vector(v):
 
 def integer_row(v):
     """(w, den): w = den * v is integral for the least positive integer den."""
+    if all(type(e) is int for e in v):
+        return tuple(v), 1
     den = lcm(*(e.denominator for e in v))
     return tuple(int(e * den) for e in v), den
 
@@ -73,19 +76,22 @@ def primitive_vector(v):
     return tuple(e // g for e in w)
 
 
-def _gauss_jordan(a):
+def _gauss_jordan(a, reduced=True):
     """Fraction-free Gauss-Jordan elimination of the rows of `a`.
 
-    Returns (rows, pivots, d, det).  The first len(pivots) integer rows are
-    d times the reduced row echelon form of `a` and the rest are zero; d is
-    the last pivot, a minor of the integer-scaled rows, and 1 when there is
-    no pivot.  `det` is the determinant of `a` when `a` is square and
+    Returns (rows, pivots, d, det).  With `reduced`, the first
+    len(pivots) integer rows are d times the reduced row echelon form of
+    `a` and the rest are zero.  Without it only the rows below each pivot
+    are cleared (the forward Bareiss sweep), which is all that the pivots,
+    d and det need, and the rows are left in a scaled echelon form.  d is
+    the last pivot, a minor of the integer-scaled rows, and 1 when there
+    is no pivot.  `det` is the determinant of `a` when `a` is square and
     nonsingular.
     """
     rows, scale = [], 1
     for r in a:
         w, den = integer_row(r)
-        rows.append(w)
+        rows.append(list(w))
         scale *= den
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -100,11 +106,14 @@ def _gauss_jordan(a):
             sign = -sign
         top = rows[k]
         p = top[c]
-        for i in range(m):
+        # Below the pivot, the columns before c are zero and stay zero.
+        first, start = (0, 0) if reduced else (k + 1, c)
+        for i in range(first, m):
             if i != k:
-                f = rows[i][c]
+                row = rows[i]
+                f = row[c]
                 # Exact division: every entry is a minor of the scaled rows.
-                rows[i] = tuple((p * x - f * y) // d for x, y in zip(rows[i], top))
+                row[start:] = [(p * x - f * y) // d for x, y in zip(row[start:], top[start:])]
         d = p
         pivots.append(c)
         if k + 1 == m:
@@ -115,7 +124,7 @@ def _gauss_jordan(a):
 def rank(a):
     if not a:
         return 0
-    return len(_gauss_jordan(a)[1])
+    return len(_gauss_jordan(a, reduced=False)[1])
 
 
 def independent_rows(a):
@@ -123,7 +132,7 @@ def independent_rows(a):
 
     They are the pivot columns of the transpose, so there are rank(a).
     """
-    return tuple(_gauss_jordan(transpose(a))[1]) if a else ()
+    return tuple(_gauss_jordan(transpose(a), reduced=False)[1]) if a else ()
 
 
 def kernel_basis(a):
@@ -148,7 +157,7 @@ def det(a):
     """Exact determinant: an int when every entry is integral, else a Fraction."""
     if not a:
         return 1
-    _, pivots, _, value = _gauss_jordan(a)
+    _, pivots, _, value = _gauss_jordan(a, reduced=False)
     return value if len(pivots) == len(a) else 0
 
 

@@ -128,6 +128,18 @@ def test_quantized_barycenter_dp1(dp1_fan):
     assert bc1[0] == bc1[1]  # pinned to the diagonal by the symmetry
 
 
+def test_dilation_factor_must_be_meaningful(dp1_fan):
+    # Bc_k needs k >= 1; #(kP cap M) is defined for k >= 0, with 0P = {0}.
+    p = polytope_from_fan(dp1_fan)
+    for k in (0, -1):
+        with pytest.raises(ValidationError):
+            quantized_barycenter(p, k)
+    for k in (-1, -3):
+        with pytest.raises(ValidationError):
+            count_lattice_points(p, k)
+    assert count_lattice_points(p, 0) == 1
+
+
 def test_quantized_barycenter_equivariance(del_pezzo_fans):
     for f in del_pezzo_fans.values():
         p = polytope_from_fan(f)
@@ -244,6 +256,26 @@ def test_reciprocity_for_reflexive_polytopes(dp1_fan, fano52_fan):
             assert brf.ehrhart(-k - 1) == (-1) ** n * brf.ehrhart(k)
             s_k, s_neg = coordinate_sums(brf, k), coordinate_sums(brf, -k - 1)
             assert s_neg == tuple((-1) ** (n + 1) * s for s in s_k)
+
+
+def interior_box_count(p, k):
+    """#(int(kP) cap M) by a scan of the inside of kP's box, for a lattice P."""
+    q = dilate(p, k)
+    box = [
+        range(int(min(v[i] for v in q.vertices)) + 1, int(max(v[i] for v in q.vertices)))
+        for i in range(q.dim)
+    ]
+    return sum(1 for x in product(*box) if contains(q, x, strict=True))
+
+
+def test_ehrhart_macdonald_reciprocity():
+    # (-1)^n E(-k) counts the lattice points interior to kP.
+    polytopes = [polytope_from_fan(load_bundled(name)) for name in BUNDLED]
+    polytopes += _random_lattice_polytopes(random.Random(20250801), 20)
+    for p in polytopes:
+        e = ehrhart_polynomial(p)
+        for k in (1, 2):
+            assert (-1) ** p.dim * e(-k) == interior_box_count(p, k)
 
 
 def test_negated_polytope_negates_numerators(dp1_fan, dp2_fan, fano52_fan):

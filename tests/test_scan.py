@@ -2,12 +2,14 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import helpers_scan
+from helpers_groups import v_n_rays
 from helpers_reflexive import random_unimodular
 from test_acceptance import Budget, _random_lattice_polytopes
 from test_latticecount import IMBERT_SIMPLEX
@@ -15,15 +17,18 @@ from toricsym import latticecount
 from toricsym.datasets import BUNDLED, load_bundled
 from toricsym.errors import ValidationError
 from toricsym.families import generate_futaki
-from toricsym.fan import polytope_from_fan
+from toricsym.fan import Fan, polytope_from_fan
 from toricsym.latticecount import (
     EnumerationPlan,
     PlanRow,
+    barycenter_rational_function,
     build_plan,
+    count_lattice_points,
     floor_sums,
     plan_count_and_sum,
     plan_for_polytope,
     plan_points,
+    quantized_barycenter,
     rigidity_verdict,
 )
 from toricsym.linalg import mat_vec
@@ -226,6 +231,86 @@ def test_analyze_scans_each_dilation_once(monkeypatch):
     # A 4-fold with Bc_1 != 0: k = 1..4 for the Ehrhart samples (k_max = 3
     # and the chain share 1..3); the chain stops at its first witness.
     assert calls == Counter(range(1, 5))
+
+
+def assert_matches_direct_scan(p, k):
+    count, sums = plan_count_and_sum(build_plan(p), k)
+    assert count_lattice_points(p, k) == count
+    assert quantized_barycenter(p, k) == tuple(Fraction(s, k * count) for s in sums)
+
+
+def test_large_dilations_come_from_the_polynomials(monkeypatch):
+    # futaki(1,2) is a 4-fold whose plan memoizes no level, so a cold plan
+    # takes the polynomials once k^2 > 8 * (1 + 4 + ... + 36), from k = 27.
+    p = polytope_from_fan(generate_futaki(1, 2))
+    calls = scanned_dilations(monkeypatch)
+    quantized_barycenter(p, 26)
+    assert calls == Counter({26: 1})
+    quantized_barycenter(p, 30)
+    # k = 1..5 for the samples and 6 = n+2 for the check of the closed form
+    assert calls == Counter([26, *range(1, 7)])
+    quantized_barycenter(p, 60)
+    count_lattice_points(p, 45)
+    assert calls == Counter([26, *range(1, 7)])
+    assert plan_for_polytope(p).rational is not None
+    for k in (26, 30, 45, 60):
+        assert_matches_direct_scan(p, k)
+    assert calls == Counter([26, *range(1, 7)])
+
+
+def test_polynomial_route_matches_the_scan(monkeypatch):
+    # Random lattice 4-polytopes past the rule (k >= 27) from cold plans.
+    fourfolds = [p for p in _random_lattice_polytopes(random.Random(7), 30) if p.dim == 4]
+    calls = scanned_dilations(monkeypatch)
+    for p, k in zip(fourfolds, (27, 28, 27, 30)):
+        assert_matches_direct_scan(p, k)
+        assert plan_for_polytope(p).rational is not None
+    assert max(calls) == 6  # only the samples k = 1..n+2 were scanned
+
+
+def test_polynomials_of_threefolds_match_the_scan():
+    # n = 3 is always scanned, but its polynomials hold at large k as well:
+    # futaki(1,1) and random lattice 3-polytopes.
+    threefolds = [polytope_from_fan(generate_futaki(1, 1))]
+    threefolds += [p for p in _random_lattice_polytopes(random.Random(7), 30) if p.dim == 3][:4]
+    for p, k in zip(threefolds, (20, 16, 40, 100, 7)):
+        brf = barycenter_rational_function(p)
+        count, sums = plan_count_and_sum(build_plan(p), k)
+        assert brf.ehrhart(k) == count
+        assert brf.barycenter_at(k) == tuple(Fraction(s, k * count) for s in sums)
+
+
+def test_rational_polytope_scans_large_dilations(monkeypatch):
+    # Counts of a rational polytope are quasi-polynomials: kP is scanned.
+    p = polytope_from_fan(generate_futaki(1, 2))
+    half = polytope_from_vertices([tuple(Fraction(x, 2) for x in v) for v in p.vertices])
+    assert not any(plan_for_polytope(half).memo_keys)
+    calls = scanned_dilations(monkeypatch)
+    count_lattice_points(half, 30)
+    quantized_barycenter(half, 30)
+    assert calls == Counter({30: 1})
+    assert plan_for_polytope(half).rational is None
+
+
+def test_memoized_plans_scan_large_dilations(monkeypatch):
+    # A memoized level makes the scan far cheaper than k^(n-2) prefixes,
+    # and V_8's volume, which the rational function checks, takes over a minute:
+    # such a plan is scanned at k alone.
+    v8 = polytope_from_fan(Fan.from_rays(v_n_rays(8)))
+    futaki_2_2 = polytope_from_fan(generate_futaki(2, 2))
+    calls = scanned_dilations(monkeypatch)
+    with Budget("V_8 at k = 12 and futaki(2,2) at k = 16, by scan", 4.0):
+        assert quantized_barycenter(v8, 12) == (0,) * 8
+        assert count_lattice_points(v8, 12) == plan_count_and_sum(plan_for_polytope(v8), 12)[0]
+        bc = quantized_barycenter(futaki_2_2, 16)
+    assert calls == Counter({12: 1, 16: 1})
+    assert plan_for_polytope(v8).rational is None
+    assert plan_for_polytope(futaki_2_2).rational is None
+    # That holds even once the plan keeps its rational function.
+    barycenter_rational_function(futaki_2_2)
+    assert quantized_barycenter(futaki_2_2, 16) == bc
+    quantized_barycenter(futaki_2_2, 20)
+    assert calls == Counter([12, 16, 20, *range(1, 8)])
 
 
 def test_seven_dimensional_scan_at_scale():
