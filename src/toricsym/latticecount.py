@@ -60,10 +60,11 @@ a built plan with no scans, against the scan of kP alone):
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import InvariantViolation, NonLatticePolytopeError, ValidationError
 from .linalg import independent_rows, solve_rational
-from .polytope import is_lattice_polytope, polytope_from_vertices, volume_and_barycenter
+from .polytope import _facets, _scaled, is_lattice_polytope, volume_and_barycenter
 
 
 @dataclass(frozen=True)
@@ -133,25 +134,30 @@ class EnumerationPlan:
 def build_plan(p):
     """The plan of P by project-and-lift (as in Normaliz).
 
-    Level j is taken from the facets of conv{v[:j+1] : v a vertex of P},
-    one `polytope_from_vertices` call per level, and the last level from
-    P's own inequalities; a facet with a zero coefficient on x_j belongs
-    to a level below.  A facet a.x <= b becomes the integer row
-    (D*a) . x <= D*b*k with D the denominator of b, so one plan serves
-    every dilation kP.
+    Level j is taken from the facets of conv{v[:j+1] : v a vertex of P}
+    and the last level from P's own inequalities; a facet with a zero
+    coefficient on x_j belongs to a level below.  The vertices are scaled
+    once to integer points D*v, whose projections' facets a.y <= c come
+    from the integer hull routine `polytope._facets`, with no Polytope
+    built.  On kP such a facet is the integer row (D/g)*a . x <= (c/g)*k,
+    g = gcd(c, D), and P's own facet a.x <= b is (den b)*a . x <= (num b)*k,
+    so one plan serves every dilation.
     """
     n = p.dim
+    den, verts = _scaled(p.vertices)
     levels = []
-    for j in range(n):
-        if j == n - 1:
-            facets = p.inequalities
-        else:
-            facets = polytope_from_vertices([v[: j + 1] for v in p.vertices]).inequalities
-        levels.append(tuple(
-            PlanRow(coeffs=tuple(b.denominator * x for x in a), c0=0, ck=b.numerator)
-            for a, b in facets
-            if a[j]
-        ))
+    for j in range(n - 1):
+        rows = []
+        for a, c in sorted(_facets(list({v[: j + 1] for v in verts}), j + 1)):
+            if a[j]:
+                g = gcd(c, den)
+                rows.append(PlanRow(coeffs=tuple(den // g * x for x in a), c0=0, ck=c // g))
+        levels.append(tuple(rows))
+    levels.append(tuple(
+        PlanRow(coeffs=tuple(b.denominator * x for x in a), c0=0, ck=b.numerator)
+        for a, b in p.inequalities
+        if a[n - 1]
+    ))
     return EnumerationPlan(dim=n, levels=tuple(levels))
 
 

@@ -4,17 +4,17 @@ Vectors are tuples, matrices are tuples of row tuples.  Entries are Python
 ints or `fractions.Fraction`; nothing in this module (or anywhere else in
 the package) touches floating point, so every result is exact.
 
-Rank, kernel, determinant, solve and inverse all go through one
-fraction-free Gauss-Jordan elimination (Bareiss 1968): every row is scaled
-to integers once by the lcm of its denominators (`integer_row`), and after
-that every division is exact.  Rank, independent rows and determinant
-stop at the forward sweep, which clears only the rows below each pivot.
+Rank, kernel, determinant, solve and the integer adjugate all go through
+one fraction-free Gauss-Jordan elimination (Bareiss 1968): a row with a
+Fraction is scaled to integers once by the lcm of its denominators
+(`integer_row`), and after that every division is exact.  Rank, independent
+rows and determinant stop at the forward sweep below each pivot.
 The Smith normal form keeps its own unimodular reduction.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import InvariantViolation
@@ -50,10 +50,7 @@ def dot(x, y):
 
 
 def gcd_vector(v):
-    g = 0
-    for e in v:
-        g = gcd(g, abs(e))
-    return g
+    return gcd(*v)
 
 
 def integer_row(v):
@@ -70,7 +67,7 @@ def primitive_vector(v):
     The sign is kept: the result is a positive multiple of the input.
     """
     w, _ = integer_row(v)
-    g = gcd_vector(w)
+    g = gcd(*w)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(e // g for e in w)
@@ -81,39 +78,41 @@ def _gauss_jordan(a, reduced=True):
 
     Returns (rows, pivots, d, det).  With `reduced`, the first
     len(pivots) integer rows are d times the reduced row echelon form of
-    `a` and the rest are zero.  Without it only the rows below each pivot
-    are cleared (the forward Bareiss sweep), which is all that the pivots,
-    d and det need, and the rows are left in a scaled echelon form.  d is
-    the last pivot, a minor of the integer-scaled rows, and 1 when there
-    is no pivot.  `det` is the determinant of `a` when `a` is square and
-    nonsingular.
+    `a` and the rest are zero.  Without it only the entries right of each
+    pivot in the rows below it are updated (the forward Bareiss sweep),
+    which is all that the pivots, d and det need; the rows are then not
+    meant to be read.  d is the last pivot, a minor of the integer-scaled
+    rows, and 1 when there is no pivot.  `det` is the determinant of `a`
+    when `a` is square and nonsingular.  An all-`int` matrix costs one
+    type check and no scaling.
     """
-    rows, scale = [], 1
-    for r in a:
-        w, den = integer_row(r)
-        rows.append(list(w))
-        scale *= den
+    if {type(e) for r in a for e in r} <= {int}:
+        rows, scale = [list(r) for r in a], 1
+    else:
+        scaled = [integer_row(r) for r in a]
+        rows, scale = [list(w) for w, _ in scaled], prod(den for _, den in scaled)
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots, sign, d = [], 1, 1
     for c in range(n):
         k = len(pivots)
-        piv = next((i for i in range(k, m) if rows[i][c]), None)
-        if piv is None:
+        for piv in range(k, m):
+            if rows[piv][c]:
+                break
+        else:
             continue
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
         top = rows[k]
         p = top[c]
-        # Below the pivot, the columns before c are zero and stay zero.
-        first, start = (0, 0) if reduced else (k + 1, c)
+        first, cols = (0, range(n)) if reduced else (k + 1, range(c + 1, n))
         for i in range(first, m):
             if i != k:
                 row = rows[i]
                 f = row[c]
-                # Exact division: every entry is a minor of the scaled rows.
-                row[start:] = [(p * x - f * y) // d for x, y in zip(row[start:], top[start:])]
+                for j in cols:  # exact: every entry is a minor of the scaled rows
+                    row[j] = (p * row[j] - f * top[j]) // d
         d = p
         pivots.append(c)
         if k + 1 == m:
@@ -186,19 +185,27 @@ def solve_rational(a, b):
     return tuple(Fraction(r[m], d) for r in rows)
 
 
-def invert_rational(a):
-    """Exact inverse of a square nonsingular matrix, as Fractions."""
+def adjugate(a):
+    """(adj(a), det(a)) of a square nonsingular integer matrix.
+
+    a * adj(a) = det(a) * I, so the inverse is adj(a) / det(a).  The
+    reduced elimination of [a | I] leaves d * a^-1 on the right, with d
+    the last pivot, which is +-det(a).  ValueError when a is singular.
+    """
     n = len(a)
-    rows, pivots, d, _ = _gauss_jordan([(*row, *unit) for row, unit in zip(a, identity(n))])
+    rows, pivots, d, value = _gauss_jordan([(*row, *unit) for row, unit in zip(a, identity(n))])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(Fraction(x, d) for x in r[n:]) for r in rows)
+    s = value // d
+    return tuple(tuple(s * x for x in r[n:]) for r in rows), value
 
 
 def invert_unimodular(a):
-    """Exact integer inverse of a unimodular matrix."""
-    inv = invert_rational(a)
-    return tuple(tuple(int(e) for e in row) for row in inv)
+    """Exact integer inverse of a unimodular matrix; ValueError otherwise."""
+    adj, d = adjugate(a)
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(d * x for x in row) for row in adj)
 
 
 @dataclass(frozen=True)

@@ -3,33 +3,50 @@
 Both descriptions are always carried together: facet inequalities
 (integer normals, rational right-hand sides, meaning <y, normal> <= rhs)
 and the irredundant vertex list, linked by a facet x vertex incidence
-table.  All coordinates are Fractions; every computation is exact.
+table.  Vertices and right-hand sides are Fractions, but only at the API
+edge: a point set is scaled once by the common denominator D of its
+coordinates (`_scaled`), and the hull, the facets of projections, the
+volume and the barycenter run on those integer points.  A Fraction is made
+only for a returned vertex, right-hand side, volume or barycenter.
+Coordinates must be exact: an int, a Fraction or a string that Fraction
+reads.  A float raises ValidationError, since 0.1 is not 1/10.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .errors import UnboundedPolytopeError, ValidationError
 from .linalg import (
+    adjugate,
     det,
     dot,
     gcd_vector,
-    identity,
     integer_row,
-    invert_rational,
     kernel_basis,
     primitive_vector,
     rank,
-    transpose,
     vec_scale,
     vec_sub,
 )
 
 
-def _frac_vec(v):
-    return tuple(Fraction(x) for x in v)
+def _exact(x):
+    """x as an int or a Fraction; a float is refused, as it is not exact."""
+    if isinstance(x, float):
+        raise ValidationError(f"coordinate {x!r} is a float; give an int, a Fraction or a string")
+    try:
+        return x if type(x) in (int, Fraction) else Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValidationError(f"coordinate {x!r} is not an exact number") from None
+
+
+def _scaled(points):
+    """(D, the integer points D*p): D is the least common denominator."""
+    pts = [tuple(map(_exact, p)) for p in points]
+    den = lcm(*{x.denominator for p in pts for x in p})
+    return den, [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
 
 
 @dataclass(frozen=True)
@@ -41,11 +58,13 @@ class HPolytope:
 
     @staticmethod
     def make(dim, inequalities):
+        """A row with a fractional normal is scaled to the equivalent integer one."""
         ineqs = []
         for normal, rhs in inequalities:
             if len(normal) != dim:
                 raise ValidationError("inequality normal has wrong dimension")
-            ineqs.append((tuple(int(x) for x in normal), Fraction(rhs)))
+            normal, den = integer_row(tuple(map(_exact, normal)))
+            ineqs.append((normal, Fraction(_exact(rhs)) * den))
         return HPolytope(dim=dim, inequalities=tuple(ineqs))
 
 
@@ -93,14 +112,15 @@ def extreme_rays(eqs, ineqs, n):
     side of the new row and one on its negative side are combined only
     when they are adjacent: their common zero set has at least d-2 rows
     and no third ray vanishes on all of it.  Every new ray is made
-    primitive.  The rays come back sorted; ValueError means the cone is
-    not pointed.
+    primitive.  The start rays are the columns of the adjugate of the start
+    rows, so every number stays an integer.  The rays come back sorted;
+    ValueError means the cone is not pointed.
     """
-    basis = kernel_basis(eqs) if eqs else identity(n)
-    d = len(basis)
+    basis = kernel_basis(eqs) if eqs else None
+    d = len(basis) if eqs else n
     if d == 0:
         return ()
-    rows = [tuple(dot(u, b) for b in basis) for u in ineqs]
+    rows = [tuple(dot(u, b) for b in basis) for u in ineqs] if eqs else ineqs
     rows = [r for r in rows if any(r)]
     start, echelon = [], []
     for i, row in enumerate(rows):
@@ -116,12 +136,14 @@ def extreme_rays(eqs, ineqs, n):
     if len(start) < d:
         raise ValueError("cone is not pointed")
 
-    # Column i of the inverse of the start rows is 1 on start row i and 0 on
-    # the others.  A ray is (y, bitmask of the added rows that vanish on y).
-    inverse = transpose(invert_rational([rows[i] for i in start]))
+    # Column i of the adjugate of the start rows, times the sign of their
+    # determinant, is positive on start row i and 0 on the others.  A ray is
+    # (y, bitmask of the added rows that vanish on y).
+    adj, det_start = adjugate([rows[i] for i in start])
+    sign = 1 if det_start > 0 else -1
     rays = [
-        (primitive_vector(y), sum(1 << j for j in start if j != i))
-        for i, y in zip(start, inverse)
+        (tuple(sign * e for e in primitive_vector(y)), sum(1 << j for j in start if j != i))
+        for i, y in zip(start, zip(*adj))
     ]
     for k, row in enumerate(rows):
         if k in start:
@@ -144,9 +166,11 @@ def extreme_rays(eqs, ineqs, n):
                     zr & z == z and zr != zp and zr != zq for _, zr in rays
                 ):
                     continue
-                y = vec_sub(vec_scale(sp, q), vec_scale(sq, p))  # dot(row, y) = 0
+                y = tuple(sp * b - sq * a for a, b in zip(p, q))  # dot(row, y) = 0
                 kept.append((primitive_vector(y), z | bit))
         rays = kept
+    if not eqs:
+        return tuple(sorted(y for y, _ in rays))
     return tuple(sorted(
         primitive_vector([sum(c * b[j] for c, b in zip(y, basis)) for j in range(n)])
         for y, _ in rays
@@ -169,41 +193,40 @@ def vertices_from_inequalities(h):
         raise UnboundedPolytopeError("inequality system is unbounded")
     rows = [(0,) * n + (1,)]
     for normal, rhs in ineqs:
-        rhs = Fraction(rhs)
         rows.append(tuple(-a * rhs.denominator for a in normal) + (rhs.numerator,))
     rays = extreme_rays((), rows, n + 1)
     if any(ray[n] == 0 for ray in rays):
         raise UnboundedPolytopeError("inequality system is unbounded")
     if not rays:
         raise ValidationError("inequality system has empty interior")
+    # The vertices x/t span affinely exactly when the rays (x, t) span.
+    if rank(rays) <= n:
+        raise ValidationError("feasible set is not full-dimensional")
     vertices, rays = zip(
         *sorted((tuple(Fraction(x, ray[n]) for x in ray[:n]), ray) for ray in rays)
     )
-    if affine_rank(vertices) < n:
-        raise ValidationError("feasible set is not full-dimensional")
 
     kept = []
     dropped = []
     incidence = []
-    seen = {}
+    seen = set()
     tights = [
         frozenset(i for i, ray in enumerate(rays) if dot(row, ray) == 0)
         for row in rows[1:]
     ]
     every = frozenset(range(len(vertices)))
-    for (normal, rhs), tight in zip(ineqs, tights):
+    for (normal, rhs), row, tight in zip(ineqs, rows[1:], tights):
         # Every facet is cut out by some row, so a row cuts out a smaller
-        # face exactly when another row's proper face contains it.
+        # face exactly when another row's proper face contains it.  Two rows
+        # are the same inequality when their primitive forms agree.
         if not tight or any(tight < other < every for other in tights):
             dropped.append((normal, rhs))
             continue
-        key = primitive_vector(normal)
-        scale = next(Fraction(a, b) for a, b in zip(normal, key) if b)
-        canon = (key, Fraction(rhs) / scale)
+        canon = primitive_vector(row)
         if canon in seen:
             dropped.append((normal, rhs))
             continue
-        seen[canon] = True
+        seen.add(canon)
         kept.append((normal, Fraction(rhs)))
         incidence.append(tight)
 
@@ -215,60 +238,59 @@ def vertices_from_inequalities(h):
     )
 
 
-def affine_rank(points):
-    """Dimension of the affine hull of the given points."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    diffs = [tuple(Fraction(c) - Fraction(d) for c, d in zip(p, base)) for p in points[1:]]
-    return rank(diffs)
+def _facets(points, n):
+    """Facets (normal, c), meaning normal.y <= c, of conv(points) in Z^n.
+
+    The points are distinct and integral.  The facets are the extreme rays
+    (a, c) of the cone {(a, c) : c - a.p >= 0 for every point p}
+    (`extreme_rays`), divided by gcd(a): the normal is primitive, and c
+    stays an integer since some point lies on the facet.  The cone is
+    pointed exactly when the points are full-dimensional; otherwise
+    ValidationError.
+    """
+    try:
+        rays = extreme_rays((), [tuple(-x for x in p) + (1,) for p in points], n + 1)
+    except ValueError:
+        raise ValidationError("point set is not full-dimensional") from None
+    facets = []
+    for ray in rays:
+        g = gcd_vector(ray[:n])
+        facets.append((tuple(a // g for a in ray[:n]), ray[n] // g))
+    return facets
 
 
 def polytope_from_vertices(points):
     """Build the paired description of conv(points).
 
-    With the points over a common denominator D, the facets a.y <= b are
-    the extreme rays (a, D*b) of the cone {(a, c) : c - a.(D*p) >= 0 for
-    every point p} (`extreme_rays`); each is divided by gcd(a), so the
-    normal is primitive and b a Fraction.  Input points interior to the
-    hull (or to a face) are discarded.
+    The points are scaled once by their common denominator D, and the
+    facets normal.y <= c of the integer hull (`_facets`) become
+    normal.x <= c/D.  The vertices and the right-hand sides are the only
+    Fractions made.  Input points interior to the hull (or to a face) are
+    discarded.
     """
-    pts = sorted(set(_frac_vec(p) for p in points))
+    den, scaled = _scaled(points)
+    pts = sorted(set(scaled))
     if not pts:
         raise ValidationError("empty point set")
     n = len(pts[0])
-    if affine_rank(pts) < n:
-        raise ValidationError("point set is not full-dimensional")
+    if any(len(q) != n for q in pts):
+        raise ValidationError("points have different dimensions")
+    facets = sorted(_facets(pts, n))
+    tights = [frozenset(i for i, q in enumerate(pts) if dot(a, q) == c) for a, c in facets]
 
-    flat, den = integer_row([x for p in pts for x in p])
-    rows = [tuple(-x for x in flat[i:i + n]) + (1,) for i in range(0, len(flat), n)]
-    facets = {}
-    for ray in extreme_rays((), rows, n + 1):
-        g = gcd_vector(ray[:n])
-        normal = tuple(a // g for a in ray[:n])
-        facets[(normal, Fraction(ray[n], den * g))] = frozenset(
-            i for i, row in enumerate(rows) if dot(ray, row) == 0
-        )
-
-    ineqs = sorted(facets)
     # A point is a vertex exactly when the facets through it meet in it
     # alone: a larger face holds two vertices, and every vertex is a point.
     every = frozenset(range(len(pts)))
     vertex_idx = [
         i
         for i in range(len(pts))
-        if every.intersection(*(t for t in facets.values() if i in t)) == {i}
+        if every.intersection(*(t for t in tights if i in t)) == {i}
     ]
     renumber = {old: new for new, old in enumerate(vertex_idx)}
-    vertices = tuple(pts[i] for i in vertex_idx)
-    incidence = tuple(
-        frozenset(renumber[i] for i in facets[key] if i in renumber)
-        for key in ineqs
-    )
     return Polytope(
-        h=HPolytope(dim=n, inequalities=tuple(ineqs)),
-        v=VPolytope(vertices=vertices),
-        incidence=incidence,
+        h=HPolytope(dim=n, inequalities=tuple((a, Fraction(c, den)) for a, c in facets)),
+        v=VPolytope(vertices=tuple(tuple(Fraction(x, den) for x in pts[i]) for i in vertex_idx)),
+        incidence=tuple(frozenset(renumber[i] for i in t if i in renumber) for t in tights),
     )
 
 
@@ -279,7 +301,7 @@ def is_lattice_polytope(p):
 def contains(p, x, strict=False):
     if len(x) != p.dim:
         raise ValidationError("point has wrong dimension")
-    xv = _frac_vec(x)
+    xv = tuple(map(_exact, x))
     if strict:
         return all(dot(a, xv) < rhs for a, rhs in p.inequalities)
     return all(dot(a, xv) <= rhs for a, rhs in p.inequalities)
@@ -301,90 +323,55 @@ def dilate(p, k):
 
 def _face_children(face, incidence):
     """Facets of a face, as maximal proper intersections with polytope facets."""
-    children = []
-    for tight in incidence:
-        c = face & tight
-        if c and c != face:
-            children.append(c)
-    maximal = []
-    for c in children:
-        if any(c < other for other in children):
-            continue
-        if c not in maximal:
-            maximal.append(c)
-    return maximal
+    children = {face & tight for tight in incidence} - {face, frozenset()}
+    return [c for c in children if not any(c < other for other in children)]
 
 
 def _boundary_simplices(p):
     """Triangulate the polytope into simplices (as vertex index tuples).
 
-    Cones each recursively triangulated facet to the lexicographically
-    smallest vertex; vertices are already sorted, so index 0 is the base.
+    Cones each recursively triangulated facet not through it to the
+    lexicographically smallest vertex of the face; vertices are already
+    sorted, so vertex 0 is the apex of every simplex.
     """
-    n = p.dim
-    nverts = len(p.vertices)
     memo = {}
 
     def tri(face, d):
-        key = face
-        if key in memo:
-            return memo[key]
-        idx = sorted(face)
-        if len(idx) == d + 1:
-            memo[key] = [tuple(idx)]
-            return memo[key]
-        base = idx[0]
-        out = []
-        for child in _face_children(face, p.incidence):
-            if base in child:
-                continue
-            for s in tri(child, d - 1):
-                out.append((base,) + s)
-        memo[key] = out
-        return out
+        if face not in memo:
+            idx = sorted(face)
+            memo[face] = [tuple(idx)] if len(idx) == d + 1 else [
+                (idx[0],) + s
+                for child in _face_children(face, p.incidence)
+                if idx[0] not in child
+                for s in tri(child, d - 1)
+            ]
+        return memo[face]
 
-    if nverts == n + 1:
-        return [tuple(range(nverts))]
-    base = 0
-    simplices = []
-    for tight in p.incidence:
-        if base in tight:
-            continue
-        for s in tri(tight, n - 1):
-            simplices.append((base,) + s)
-    return simplices
+    return tri(frozenset(range(len(p.vertices))), p.dim)
 
 
 @lru_cache(maxsize=256)
 def volume_and_barycenter(p):
     """Exact Euclidean volume and barycenter of a full-dimensional polytope.
 
-    Triangulates from the lex-smallest vertex; each simplex contributes
-    |det|/n! to the volume and its vertex average, volume-weighted, to the
-    barycenter.
+    Triangulates from the lex-smallest vertex, on the vertices scaled to
+    integer points by their common denominator D.  Each simplex adds its
+    integer |det| to the weight of each of its vertices; vertex 0 is in
+    every simplex, so its weight w_0 is the total.  The volume is
+    w_0 / (n! D^n) and the barycenter sum(w_i v_i) / ((n+1) D w_0), the
+    only Fractions made.
     """
     n = p.dim
-    verts = p.vertices
-    if affine_rank(verts) < n:
-        raise ValidationError("polytope is lower-dimensional")
-    fact = factorial(n)
-    total = Fraction(0)
-    moment = [Fraction(0)] * n
-
+    den, verts = _scaled(p.vertices)
+    diffs = [vec_sub(v, verts[0]) for v in verts]
+    weights = [0] * len(verts)
     for s in _boundary_simplices(p):
-        base = verts[s[0]]
-        mat = tuple(
-            tuple(verts[i][j] - base[j] for j in range(n)) for i in s[1:]
-        )
-        vol = abs(Fraction(det(mat))) / fact
-        if vol == 0:
-            continue
-        centroid = tuple(
-            sum(verts[i][j] for i in s) / Fraction(n + 1) for j in range(n)
-        )
-        total += vol
-        for j in range(n):
-            moment[j] += vol * centroid[j]
+        w = abs(det([diffs[i] for i in s[1:]]))
+        for i in s:
+            weights[i] += w
+    total = weights[0]
     if total == 0:
-        raise ValidationError("degenerate polytope")
-    return total, tuple(m / total for m in moment)
+        raise ValidationError("polytope is lower-dimensional")
+    return Fraction(total, factorial(n) * den**n), tuple(
+        Fraction(dot(weights, col), (n + 1) * den * total) for col in zip(*verts)
+    )

@@ -26,10 +26,9 @@ from .errors import (
 from .fan import Fan, is_complete, is_fano, polytope_from_fan
 from .latticecount import enumerate_lattice_points
 from .linalg import (
+    adjugate,
     dot,
     identity,
-    integer_row,
-    invert_rational,
     kernel_basis,
     mat_vec,
     rank,
@@ -94,8 +93,8 @@ def _search_lattice_maps(points, fingerprints, pair_row, n, keep=None):
     index_of = {p: i for i, p in enumerate(points)}
     # sigma maps frame point r to image r, so sigma = B^T (F^T)^-1 for the
     # frame rows F and the image rows B: entry (i, j) is column i of B
-    # dotted with row j of F^-1, held as an integer row w over den.
-    inverse = [integer_row(r) for r in invert_rational([points[f] for f in frame])]
+    # dotted with row j of F^-1 = adj(F) / det(F).
+    adj, den = adjugate([points[f] for f in frame])
     rows = {}
 
     def row(i):
@@ -115,7 +114,7 @@ def _search_lattice_maps(points, fingerprints, pair_row, n, keep=None):
     def leaf(images):
         sigma = []
         for col in zip(*(points[i] for i in images)):
-            entries = [divmod(dot(col, w), den) for w, den in inverse]
+            entries = [divmod(dot(col, w), den) for w in adj]
             if any(r for _, r in entries):
                 return None
             sigma.append(tuple(q for q, _ in entries))

@@ -1,0 +1,169 @@
+"""The Fraction routes that integer scaling replaced, kept as test oracles.
+
+`toricsym.polytope` scales a point set once by the common denominator of
+its coordinates and runs the hull, the plan build and the volume on
+integers.  Here are the routes it replaced, which carry every coordinate
+as a Fraction: the hull of a point set around the same double description
+`extreme_rays`, a plan with one full hull per projection, and a volume and
+barycenter summed as Fractions simplex by simplex over the pulling
+triangulation as it was written then.  The tests compare the
+integer routes with them exactly.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+from toricsym.errors import ValidationError
+from toricsym.latticecount import EnumerationPlan, PlanRow
+from toricsym.linalg import det, dot, gcd_vector, integer_row, rank
+from toricsym.polytope import HPolytope, Polytope, VPolytope, extreme_rays
+
+
+def affine_rank(points):
+    """Dimension of the affine hull of the given points."""
+    if len(points) <= 1:
+        return 0
+    base = points[0]
+    diffs = [tuple(Fraction(c) - Fraction(d) for c, d in zip(p, base)) for p in points[1:]]
+    return rank(diffs)
+
+
+def polytope_from_vertices(points):
+    """conv(points) with Fraction points, facets read off `extreme_rays`."""
+    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
+    if not pts:
+        raise ValidationError("empty point set")
+    n = len(pts[0])
+    if affine_rank(pts) < n:
+        raise ValidationError("point set is not full-dimensional")
+
+    flat, den = integer_row([x for p in pts for x in p])
+    rows = [tuple(-x for x in flat[i:i + n]) + (1,) for i in range(0, len(flat), n)]
+    facets = {}
+    for ray in extreme_rays((), rows, n + 1):
+        g = gcd_vector(ray[:n])
+        normal = tuple(a // g for a in ray[:n])
+        facets[(normal, Fraction(ray[n], den * g))] = frozenset(
+            i for i, row in enumerate(rows) if dot(ray, row) == 0
+        )
+
+    ineqs = sorted(facets)
+    every = frozenset(range(len(pts)))
+    vertex_idx = [
+        i
+        for i in range(len(pts))
+        if every.intersection(*(t for t in facets.values() if i in t)) == {i}
+    ]
+    renumber = {old: new for new, old in enumerate(vertex_idx)}
+    vertices = tuple(pts[i] for i in vertex_idx)
+    incidence = tuple(
+        frozenset(renumber[i] for i in facets[key] if i in renumber)
+        for key in ineqs
+    )
+    return Polytope(
+        h=HPolytope(dim=n, inequalities=tuple(ineqs)),
+        v=VPolytope(vertices=vertices),
+        incidence=incidence,
+    )
+
+
+def build_plan(p):
+    """The project-and-lift plan with one Fraction hull per projection."""
+    n = p.dim
+    levels = []
+    for j in range(n):
+        if j == n - 1:
+            facets = p.inequalities
+        else:
+            facets = polytope_from_vertices([v[: j + 1] for v in p.vertices]).inequalities
+        levels.append(tuple(
+            PlanRow(coeffs=tuple(b.denominator * x for x in a), c0=0, ck=b.numerator)
+            for a, b in facets
+            if a[j]
+        ))
+    return EnumerationPlan(dim=n, levels=tuple(levels))
+
+
+def _face_children(face, incidence):
+    """Facets of a face, as maximal proper intersections with polytope facets."""
+    children = []
+    for tight in incidence:
+        c = face & tight
+        if c and c != face:
+            children.append(c)
+    maximal = []
+    for c in children:
+        if any(c < other for other in children):
+            continue
+        if c not in maximal:
+            maximal.append(c)
+    return maximal
+
+
+def _boundary_simplices(p):
+    """Triangulate the polytope into simplices (as vertex index tuples).
+
+    Cones each recursively triangulated facet to the lexicographically
+    smallest vertex; vertices are already sorted, so index 0 is the base.
+    """
+    n = p.dim
+    nverts = len(p.vertices)
+    memo = {}
+
+    def tri(face, d):
+        key = face
+        if key in memo:
+            return memo[key]
+        idx = sorted(face)
+        if len(idx) == d + 1:
+            memo[key] = [tuple(idx)]
+            return memo[key]
+        base = idx[0]
+        out = []
+        for child in _face_children(face, p.incidence):
+            if base in child:
+                continue
+            for s in tri(child, d - 1):
+                out.append((base,) + s)
+        memo[key] = out
+        return out
+
+    if nverts == n + 1:
+        return [tuple(range(nverts))]
+    base = 0
+    simplices = []
+    for tight in p.incidence:
+        if base in tight:
+            continue
+        for s in tri(tight, n - 1):
+            simplices.append((base,) + s)
+    return simplices
+
+
+def volume_and_barycenter(p):
+    """Volume and barycenter summed as Fractions over the same triangulation."""
+    n = p.dim
+    verts = p.vertices
+    if affine_rank(verts) < n:
+        raise ValidationError("polytope is lower-dimensional")
+    fact = factorial(n)
+    total = Fraction(0)
+    moment = [Fraction(0)] * n
+
+    for s in _boundary_simplices(p):
+        base = verts[s[0]]
+        mat = tuple(
+            tuple(verts[i][j] - base[j] for j in range(n)) for i in s[1:]
+        )
+        vol = abs(Fraction(det(mat))) / fact
+        if vol == 0:
+            continue
+        centroid = tuple(
+            sum(verts[i][j] for i in s) / Fraction(n + 1) for j in range(n)
+        )
+        total += vol
+        for j in range(n):
+            moment[j] += vol * centroid[j]
+    if total == 0:
+        raise ValidationError("degenerate polytope")
+    return total, tuple(m / total for m in moment)

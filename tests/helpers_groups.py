@@ -12,13 +12,13 @@ group replaced.  The other helpers are the trivial group and the ray list
 of the del Pezzo variety V_n.
 """
 
+from helpers_linalg import invert_rational
 from toricsym.errors import InvariantViolation
 from toricsym.fan import Fan
 from toricsym.linalg import (
     dot,
     identity,
     integer_row,
-    invert_rational,
     invert_unimodular,
     mat_mul,
     mat_vec,

@@ -11,11 +11,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from helpers_fraction import affine_rank
 from toricsym.errors import UnboundedPolytopeError, ValidationError
 from toricsym import fan
 from toricsym.fan import cone_span_equations
 from toricsym.linalg import det, dot, kernel_basis, primitive_vector, rank, vec_scale
-from toricsym.polytope import HPolytope, Polytope, VPolytope, affine_rank
+from toricsym.polytope import HPolytope, Polytope, VPolytope
 
 
 def solve_integer_cramer(a, b):

@@ -2,9 +2,9 @@
 
 These are the routines that the fraction-free kernel of `toricsym.linalg`
 and the project-and-lift `latticecount.build_plan` replaced: a Fraction
-reduced row echelon form behind rank and kernel, a Bareiss determinant with
-a Fraction fallback, a Fraction Gauss-Jordan solve, and the Fourier-Motzkin
-plan build over Fractions.  They share no code with the library routines,
+reduced row echelon form behind rank, kernel and inverse, a Bareiss
+determinant with a Fraction fallback, a Fraction Gauss-Jordan solve, and the
+Fourier-Motzkin plan build over Fractions.  They share no code with the library routines,
 so the tests compare the two on random and bundled inputs.
 """
 
@@ -73,6 +73,15 @@ def kernel_basis(a):
             v[pc] = -rows[r][fc]
         basis.append(primitive_vector(v))
     return tuple(basis)
+
+
+def invert_rational(a):
+    """Exact inverse of a square nonsingular matrix, as Fractions."""
+    n = len(a)
+    rows, pivots = _rref([(*row, *(int(i == j) for j in range(n))) for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(r[n:]) for r in rows)
 
 
 def det(a):

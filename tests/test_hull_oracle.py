@@ -1,27 +1,41 @@
-"""Double description against the subset scans it replaced.
+"""Double description against the subset scans it replaced, and the
+integer routes against the Fraction routes they replaced.
 
 `helpers_hull` keeps the old n-subset and circuit scans.  Every hull,
 vertex set, cone H-description, cone intersection and strong-convexity
-verdict computed here must equal theirs exactly.
+verdict computed here must equal theirs exactly.  `helpers_fraction` keeps
+the hull, plan build, volume and barycenter that carried every coordinate
+as a Fraction; the integer-scaled routes must equal them exactly, incidence
+and dropped rows included, and must satisfy the identities of P -> -P,
+P -> P/2 and lattice translations.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import helpers_fraction
 import helpers_hull as oracle
-from test_acceptance import _random_lattice_polytopes
+from helpers_reflexive import random_unimodular
+from test_acceptance import Budget, _random_lattice_polytopes
 from toricsym.datasets import load_bundled
 from toricsym.errors import ToricSymError
 from toricsym.families import futaki_rays
-from toricsym.fan import _is_strongly_convex, cone_facet_normals
+from toricsym.fan import Fan, _is_strongly_convex, cone_facet_normals, polytope_from_fan
+from toricsym.latticecount import build_plan
+from toricsym.linalg import mat_vec
 from toricsym.polytope import (
     HPolytope,
     extreme_rays,
     polytope_from_vertices,
     vertices_from_inequalities,
+    volume_and_barycenter,
 )
+
+# The cached function recomputes on every call.
+volume_and_barycenter = volume_and_barycenter.__wrapped__
 
 BUNDLED = (
     "p2", "p1xp1", "dp1", "dp2", "dp3", "fano3fold_5_2", "futaki_1_2", "weighted_112",
@@ -105,3 +119,65 @@ def test_degenerate_systems_match_subset_scans():
         assert new == outcome(oracle.vertices_from_inequalities, h)
         bounded += not isinstance(new[0], str)
     assert bounded >= 20
+
+
+def assert_integer_routes_match_fraction_routes(points):
+    """Hull, plan, volume and barycenter of conv(points) equal the Fraction routes."""
+    new = outcome(polytope_from_vertices, points)
+    assert new == outcome(helpers_fraction.polytope_from_vertices, points)
+    p = new[0]
+    assert build_plan(p) == helpers_fraction.build_plan(p)
+    vol, bc = volume_and_barycenter(p)
+    assert (vol, bc) == helpers_fraction.volume_and_barycenter(p)
+    return p, vol, bc
+
+
+def assert_identities(points, vol, bc):
+    """-P, P/2 and P + t for a lattice vector t, against vol and bc of P."""
+    n = len(bc)
+    assert volume_and_barycenter(polytope_from_vertices([[-x for x in v] for v in points])) == (
+        vol, tuple(-x for x in bc)
+    )
+    half = polytope_from_vertices([[Fraction(x, 2) for x in v] for v in points])
+    assert volume_and_barycenter(half) == (vol / 2**n, tuple(x / 2 for x in bc))
+    t = tuple(range(-1, n - 1))
+    moved = polytope_from_vertices([[x + y for x, y in zip(v, t)] for v in points])
+    assert volume_and_barycenter(moved) == (vol, tuple(x + y for x, y in zip(bc, t)))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_fans_match_fraction_routes(name):
+    f = load_bundled(name)
+    for points in (f.rays, polytope_from_fan(f).vertices):
+        assert_identities(points, *assert_integer_routes_match_fraction_routes(points)[1:])
+
+
+def test_futaki_polytopes_match_fraction_routes():
+    for n1 in (1, 2, 3):
+        for n2 in (1, 2, 3):
+            vertices = polytope_from_fan(Fan.from_rays(futaki_rays(n1, n2))).vertices
+            p, vol, bc = assert_integer_routes_match_fraction_routes(vertices)
+            assert p.vertices == vertices
+            if n1 + n2 <= 4:
+                assert_identities(vertices, vol, bc)
+
+
+def test_criterion_4_polytopes_match_fraction_routes():
+    rng = random.Random(7)
+    for p in _random_lattice_polytopes(random.Random(20250801), 60):
+        n = p.dim
+        halves = [[Fraction(x, 2) for x in v] for v in p.vertices]
+        a = random_unimodular(rng, size=8, n=n)
+        image = [mat_vec(a, v) for v in p.vertices]
+        for points in (p.vertices, halves, image):
+            q, vol, bc = assert_integer_routes_match_fraction_routes(points)
+            assert_identities(points, vol, bc)
+        assert q.vertices == tuple(sorted(tuple(v) for v in image))
+
+
+def test_plan_and_volume_of_a_sevenfold_within_budget():
+    # futaki(3,3): 32 vertices in dimension 7, six projections to hull.
+    p = polytope_from_fan(Fan.from_rays(futaki_rays(3, 3)))
+    with Budget("futaki(3,3) build_plan and volume_and_barycenter", 0.1):
+        build_plan(p)
+        volume_and_barycenter(p)

@@ -8,11 +8,12 @@ from toricsym import linalg
 from toricsym.errors import InvariantViolation
 from toricsym.linalg import (
     SmithDecomposition,
+    adjugate,
     det,
     identity,
     independent_rows,
     invariant_factors,
-    invert_rational,
+    invert_unimodular,
     is_unimodular,
     kernel_basis,
     mat_mul,
@@ -186,7 +187,7 @@ def _random_matrix(rng):
 
 def test_kernel_matches_fraction_oracle_on_random_matrices():
     rng = random.Random(19680601)
-    square = singular = 0
+    square = singular = integral = 0
     for _ in range(2000):
         a = _random_matrix(rng)
         m, n = len(a), len(a[0])
@@ -199,14 +200,23 @@ def test_kernel_matches_fraction_oracle_on_random_matrices():
         assert d == oracle.det(a)
         b = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
         assert solve_rational(a, b) == oracle.solve_rational(a, b)
+        if not all(type(e) is int for row in a for e in row):
+            continue  # the adjugate is taken of integer matrices only
+        integral += 1
         if d == 0:
             singular += 1
             with pytest.raises(ValueError):
-                invert_rational(a)
+                adjugate(a)
             continue
-        # The inverse is unique, so checking it is as good as the oracle's.
-        assert mat_mul(a, invert_rational(a)) == identity(n)
-    assert square > 900 and singular > 100
+        adj, value = adjugate(a)
+        assert value == d
+        assert adj == tuple(tuple(d * x for x in r) for r in oracle.invert_rational(a))
+        if d in (1, -1):
+            assert invert_unimodular(a) == oracle.invert_rational(a)
+        else:
+            with pytest.raises(ValueError):
+                invert_unimodular(a)
+    assert square > 900 and integral > 400 and singular > 100
 
 
 def test_result_types_are_kept():

@@ -248,3 +248,60 @@ def test_six_cube_at_scale():
     assert len(q.vertices) == 12 and len(q.inequalities) == 64
     assert q.dropped_inequalities == ()
     assert complete
+
+
+def test_fractional_normals_are_scaled_not_truncated():
+    # int(3/2) would read the first row as x <= 1; scaled, it is 3x <= 2.
+    h = HPolytope.make(2, [((Fraction(3, 2), 0), 1), ((0, "1/2"), "1/4")])
+    assert h.inequalities == (((3, 0), Fraction(2)), ((0, 1), Fraction(1, 2)))
+    box = HPolytope.make(2, list(h.inequalities) + [((-1, 0), 0), ((0, -1), 0)])
+    assert vset(vertices_from_inequalities(box)) == {
+        fv(0, 0), fv(Fraction(2, 3), 0), fv(0, Fraction(1, 2)), fv(Fraction(2, 3), Fraction(1, 2))
+    }
+    # Integer normals are kept as given, not made primitive.
+    assert HPolytope.make(1, [((2,), 3)]).inequalities == (((2,), Fraction(3)),)
+
+
+def test_floats_are_refused():
+    p = vertices_from_inequalities(P2)
+    for call in (
+        lambda: polytope_from_vertices([(0, 0), (0.1, 0), (0, 1)]),
+        lambda: contains(p, (0.5, 0)),
+        lambda: HPolytope.make(2, [((1.5, 0), 1)]),
+        lambda: HPolytope.make(2, [((1, 0), 0.5)]),
+        lambda: polytope_from_vertices([(0, 0), ("a", 0), (0, 1)]),
+        lambda: polytope_from_vertices([(0, 0), ("1/0", 0), (0, 1)]),
+    ):
+        with pytest.raises(ValidationError):
+            call()
+
+
+def test_exact_inputs_keep_their_meaning():
+    # 0.1 as a float is 3602879701896397/36028797018963968; as a string or a
+    # Fraction it is 1/10.
+    tenth = Fraction(1, 10)
+    for pts in (
+        [(0, 0), (tenth, 0), (0, 1)],
+        [(0, 0), ("1/10", 0), (0, 1)],
+        [("0", "0"), ("0.1", 0), (0, Fraction(1))],
+    ):
+        p = polytope_from_vertices(pts)
+        assert p.vertices == (fv(0, 0), fv(0, 1), (tenth, Fraction(0)))
+        assert all(type(x) is Fraction for v in p.vertices for x in v)
+        assert all(type(r) is Fraction for _, r in p.inequalities)
+        assert volume_and_barycenter(p) == (Fraction(1, 20), (Fraction(1, 30), Fraction(1, 3)))
+    q = vertices_from_inequalities(P2)
+    assert contains(q, ("1/2", 0)) and contains(q, (Fraction(1, 2), 0)) and contains(q, (2, -1))
+
+
+def test_points_that_do_not_span_are_rejected():
+    for pts in (
+        [(0, 0), (1, 1), (2, 2)],  # collinear
+        [(1, 2), (1, 2), (1, 2)],  # one point, repeated
+        [(3,), (3,)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (Fraction(1, 2), 2, 0)],  # planar
+    ):
+        with pytest.raises(ValidationError, match="^point set is not full-dimensional$"):
+            polytope_from_vertices(pts)
+    with pytest.raises(ValidationError, match="different dimensions"):
+        polytope_from_vertices([(0, 0), (1, 0, 0), (0, 1)])
