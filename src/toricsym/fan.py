@@ -15,11 +15,22 @@ from .errors import UnboundedPolytopeError, ValidationError
 from .linalg import det, dot, gcd_vector, kernel_basis, rank, vec_scale
 from .polytope import (
     HPolytope,
+    _exact,
     extreme_rays,
     is_lattice_polytope,
     polytope_from_vertices,
     vertices_from_inequalities,
 )
+
+
+def _lattice_point(v):
+    """v as a tuple of ints; a float or a non-integral coordinate is refused."""
+    out = []
+    for x in map(_exact, v):
+        if x.denominator != 1:
+            raise ValidationError(f"ray coordinate {x} is not an integer")
+        out.append(int(x))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -30,7 +41,7 @@ class Fan:
 
     @staticmethod
     def make(dim, rays, max_cones):
-        rays = tuple(tuple(int(x) for x in r) for r in rays)
+        rays = tuple(map(_lattice_point, rays))
         cones = tuple(tuple(sorted(set(int(i) for i in c))) for c in max_cones)
         for r in rays:
             if len(r) != dim:
@@ -52,7 +63,7 @@ def face_fan_from_polytope(points):
     Requires the hull to be full-dimensional with 0 in its interior and
     every supplied point to be a vertex of the hull.
     """
-    pts = tuple(tuple(int(x) for x in p) for p in points)
+    pts = tuple(map(_lattice_point, points))
     if not pts:
         raise ValidationError("no points given")
     n = len(pts[0])

@@ -137,6 +137,29 @@ def test_face_fan_needs_interior_origin():
         face_fan_from_polytope([(1, 0), (0, 1), (1, 1)])
 
 
+P2_CONES = [(0, 1), (1, 2), (0, 2)]
+
+
+@pytest.mark.parametrize(
+    "first", [(1.5, 0), (Fraction(3, 2), 0), (1.0, 0), ("3/2", 0), ("a", 0)]
+)
+def test_rays_must_be_integral(first):
+    # A float or a fractional coordinate used to be truncated to the ray (1, 0).
+    rays = [first, (0, 1), (-1, -1)]
+    with pytest.raises(ValidationError):
+        Fan.make(2, rays, P2_CONES)
+    with pytest.raises(ValidationError):
+        Fan.from_rays(rays)
+
+
+def test_integral_rays_keep_working():
+    p2 = Fan.from_rays([(1, 0), (0, 1), (-1, -1)])
+    for rays in ([(Fraction(2, 2), 0), (0, Fraction(1)), (-1, -1)], [("1", 0), (0, 1), ("-1", -1)]):
+        f = Fan.from_rays(rays)
+        assert f == p2 and all(type(x) is int for r in f.rays for x in r)
+        assert Fan.make(2, rays, P2_CONES).rays == p2.rays
+
+
 def test_is_fano(p2_fan, dp1_fan):
     assert is_fano(p2_fan)
     assert is_fano(dp1_fan)

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
+import helpers_ehrhart
 import helpers_linalg
+from helpers_groups import v_n_rays
+from helpers_reflexive import random_unimodular
 from test_acceptance import _random_lattice_polytopes
 from toricsym.datasets import BUNDLED, load_bundled
 from toricsym.errors import (
@@ -13,8 +17,9 @@ from toricsym.errors import (
     ValidationError,
 )
 from toricsym.families import generate_futaki
-from toricsym.fan import polytope_from_fan
+from toricsym.fan import Fan, polytope_from_fan
 from toricsym.latticecount import (
+    _evaluate,
     _interpolate,
     barycenter_rational_function,
     build_plan,
@@ -22,6 +27,7 @@ from toricsym.latticecount import (
     ehrhart_polynomial,
     enumerate_lattice_points,
     plan_count_and_sum,
+    plan_for_polytope,
     quantized_barycenter,
     rigidity_verdict,
 )
@@ -258,24 +264,86 @@ def test_reciprocity_for_reflexive_polytopes(dp1_fan, fano52_fan):
             assert s_neg == tuple((-1) ** (n + 1) * s for s in s_k)
 
 
-def interior_box_count(p, k):
-    """#(int(kP) cap M) by a scan of the inside of kP's box, for a lattice P."""
+@lru_cache(maxsize=None)
+def interior_box_scan(p, k):
+    """(#, coordinate sums) of int(kP) cap M by a scan of the inside of kP's box, for a lattice P."""
     q = dilate(p, k)
     box = [
         range(int(min(v[i] for v in q.vertices)) + 1, int(max(v[i] for v in q.vertices)))
         for i in range(q.dim)
     ]
-    return sum(1 for x in product(*box) if contains(q, x, strict=True))
+    points = [x for x in product(*box) if contains(q, x, strict=True)]
+    return len(points), tuple(sum(x[i] for x in points) for i in range(q.dim))
+
+
+@lru_cache(maxsize=None)
+def reciprocity_polytopes():
+    """The 8 bundled polytopes and the first 20 criterion-4 polytopes."""
+    polytopes = [polytope_from_fan(load_bundled(name)) for name in BUNDLED]
+    return tuple(polytopes + _random_lattice_polytopes(random.Random(20250801), 20))
 
 
 def test_ehrhart_macdonald_reciprocity():
     # (-1)^n E(-k) counts the lattice points interior to kP.
-    polytopes = [polytope_from_fan(load_bundled(name)) for name in BUNDLED]
-    polytopes += _random_lattice_polytopes(random.Random(20250801), 20)
-    for p in polytopes:
+    for p in reciprocity_polytopes():
         e = ehrhart_polynomial(p)
         for k in (1, 2):
-            assert (-1) ** p.dim * e(-k) == interior_box_count(p, k)
+            assert (-1) ** p.dim * e(-k) == interior_box_scan(p, k)[0]
+
+
+def test_weighted_ehrhart_macdonald_reciprocity():
+    # (-1)^(n+1) S_i(-k) sums x_i over the lattice points interior to kP
+    # (Brion-Vergne), with E and S_i(k) = k * numerator_i(k) taken from
+    # scans of kP at k = 1..n+2 alone, so no interior scan is involved.
+    for p in reciprocity_polytopes():
+        n = p.dim
+        e, numerators = helpers_ehrhart.polynomials(p)
+        for k in (1, 2):
+            count, sums = interior_box_scan(p, k)
+            assert (-1) ** n * _evaluate(e, -k) == count
+            assert tuple((-1) ** (n + 1) * -k * _evaluate(q, -k) for q in numerators) == sums
+
+
+def test_interior_scan_matches_box_oracle():
+    for p in reciprocity_polytopes():
+        plan = build_plan(p)
+        for k in (1, 2):
+            assert plan_count_and_sum(plan, k, interior=True) == interior_box_scan(p, k)
+
+
+def negated(p):
+    return polytope_from_vertices([tuple(-x for x in v) for v in p.vertices])
+
+
+def unimodular_image(p, seed):
+    m = random_unimodular(random.Random(seed), size=3 * p.dim, n=p.dim)
+    return polytope_from_vertices([mat_vec(m, v) for v in p.vertices])
+
+
+def k_scan_route_cases(family):
+    if family == "bundled":
+        bundled = [polytope_from_fan(load_bundled(name)) for name in BUNDLED]
+        return bundled + [negated(p) for p in bundled] + [
+            unimodular_image(p, seed) for seed, p in enumerate(bundled)
+        ]
+    if family == "criterion-4":
+        return _random_lattice_polytopes(random.Random(20250801), 60)
+    futaki = [generate_futaki(a, b) for a, b in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3))]
+    return [polytope_from_fan(f) for f in futaki + [Fan.from_rays(v_n_rays(n)) for n in (4, 6)]]
+
+
+@pytest.mark.parametrize("family", ["bundled", "criterion-4", "futaki and V_n"])
+def test_polynomials_match_the_k_scan_route(family):
+    # The nodes +-1, +-2, ... with interior scans give the polynomials that
+    # scans of kP at k = 1..n+2 give, from cold plans and with the futaki
+    # bundles and V_n on memoized plans.
+    plan_for_polytope.cache_clear()
+    for p in k_scan_route_cases(family):
+        e, numerators = helpers_ehrhart.polynomials(p)
+        assert ehrhart_polynomial(p).coefficients == e
+        brf = barycenter_rational_function(p)
+        assert brf.ehrhart.coefficients == e
+        assert brf.numerators == numerators
 
 
 def test_negated_polytope_negates_numerators(dp1_fan, dp2_fan, fano52_fan):

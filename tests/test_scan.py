@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given
@@ -15,7 +16,7 @@ from test_acceptance import Budget, _random_lattice_polytopes
 from test_latticecount import IMBERT_SIMPLEX
 from toricsym import latticecount
 from toricsym.datasets import BUNDLED, load_bundled
-from toricsym.errors import ValidationError
+from toricsym.errors import InvariantViolation, ValidationError
 from toricsym.families import generate_futaki
 from toricsym.fan import Fan, polytope_from_fan
 from toricsym.latticecount import (
@@ -24,6 +25,7 @@ from toricsym.latticecount import (
     barycenter_rational_function,
     build_plan,
     count_lattice_points,
+    ehrhart_polynomial,
     floor_sums,
     plan_count_and_sum,
     plan_for_polytope,
@@ -32,7 +34,7 @@ from toricsym.latticecount import (
     rigidity_verdict,
 )
 from toricsym.linalg import mat_vec
-from toricsym.polytope import polytope_from_vertices
+from toricsym.polytope import polytope_from_vertices, volume_and_barycenter
 from toricsym.report import analyze
 
 
@@ -187,6 +189,79 @@ def test_closed_intervals_match_per_leaf_oracle(monkeypatch):
     assert len(closed) > 1000
 
 
+def lowered(plan):
+    """The plan with every row's right-hand side lowered by 1."""
+    return EnumerationPlan(
+        dim=plan.dim,
+        levels=tuple(
+            tuple(PlanRow(coeffs=row.coeffs, c0=row.c0 - 1, ck=row.ck) for row in level)
+            for level in plan.levels
+        ),
+    )
+
+
+# x0 <= 2 + k, x0 >= -1 - k; x1 - x0 <= 3 + k, x1 >= 1 - 2k;
+# x0 + x1 + 2*x2 <= 5 + 3k, x1 + 3*x2 >= -4 - 2k.
+OFFSET_PLAN = EnumerationPlan(
+    dim=3,
+    levels=(
+        (PlanRow(coeffs=(1,), c0=2, ck=1), PlanRow(coeffs=(-1,), c0=1, ck=1)),
+        (PlanRow(coeffs=(-1, 1), c0=3, ck=1), PlanRow(coeffs=(0, -1), c0=-1, ck=2)),
+        (PlanRow(coeffs=(1, 1, 2), c0=5, ck=3), PlanRow(coeffs=(0, -1, -3), c0=4, ck=2)),
+    ),
+)
+
+
+def box_scan(plan, k, interior, width):
+    """(#, sums) of the integer points in [-width, width]^n that satisfy every
+    row of the plan, strictly for the interior."""
+    shift = 1 if interior else 0
+    rows = [row for level in plan.levels for row in level]
+    points = [
+        x
+        for x in product(range(-width, width + 1), repeat=plan.dim)
+        if all(
+            sum(a * xi for a, xi in zip(row.coeffs, x)) <= row.c0 + row.ck * k - shift
+            for row in rows
+        )
+    ]
+    return len(points), tuple(sum(x[i] for x in points) for i in range(plan.dim))
+
+
+def test_interior_scan_of_a_plan_with_offsets():
+    # Right-hand sides c0 + ck*k with c0 != 0, against a box scan.
+    for k in range(4):
+        box = 8 + 4 * k
+        assert plan_count_and_sum(OFFSET_PLAN, k) == box_scan(OFFSET_PLAN, k, False, box)
+        assert plan_count_and_sum(OFFSET_PLAN, k, interior=True) == box_scan(
+            OFFSET_PLAN, k, True, box
+        )
+
+
+def test_interior_scan_matches_per_leaf_oracle_on_lowered_rows(monkeypatch):
+    # The interior of the k-th dilation is the k-th dilation of the plan
+    # whose rows are lowered by 1: on futaki(2,2), whose levels 2..
+    # memoize, on plans with c0 != 0 or loose levels, and on futaki(1,2)
+    # at k >= 8, whose intervals are closed by floor sums.
+    f22 = plan_for_polytope(polytope_from_fan(generate_futaki(2, 2)))
+    assert any(rows is not None for rows in f22.memo_keys)
+    cases = [(f22, range(5)), (OFFSET_PLAN, range(6))]
+    cases += [(plan, (1, 9, 30)) for plan in LOOSE_PLANS]
+    closed = closed_intervals(monkeypatch)
+    for plan, ks in cases:
+        for k in ks:
+            assert plan_count_and_sum(plan, k, interior=True) == (
+                helpers_scan.plan_count_and_sum(lowered(plan), k)
+            )
+    f12 = plan_for_polytope(polytope_from_fan(generate_futaki(1, 2)))
+    for k in range(8, 13):
+        del closed[:]
+        assert plan_count_and_sum(f12, k, interior=True) == (
+            helpers_scan.plan_count_and_sum(lowered(f12), k)
+        )
+        assert closed, k
+
+
 def test_closing_every_interval_matches_per_leaf_oracle(monkeypatch):
     # Intervals of one and two values, and every other length below the
     # cutoff, through the closed branch.
@@ -202,14 +277,17 @@ def test_closing_every_interval_matches_per_leaf_oracle(monkeypatch):
 
 
 def scanned_dilations(monkeypatch):
-    """Counter of k over the real scans made from here on, with cold plans."""
+    """Counter of k over the real scans made from here on, with cold plans.
+
+    A scan of the interior of kP is recorded as -k.
+    """
     plan_for_polytope.cache_clear()
     calls = Counter()
     scan = latticecount.plan_count_and_sum
 
-    def counted(plan, k):
-        calls[k] += 1
-        return scan(plan, k)
+    def counted(plan, k, interior=False):
+        calls[-k if interior else k] += 1
+        return scan(plan, k, interior)
 
     monkeypatch.setattr(latticecount, "plan_count_and_sum", counted)
     return calls
@@ -221,16 +299,18 @@ def test_rigidity_verdict_scans_each_dilation_once(monkeypatch):
     calls = scanned_dilations(monkeypatch)
     verdict = rigidity_verdict(p, range(1, n + 2))
     assert verdict.identically_zero
-    # k = 1..n+1 for the samples and n+2 for the check of the closed form.
-    assert calls == Counter(range(1, n + 3))
+    # k = 1..n+1 for Bc_k, then the closed form takes them as its first
+    # n+1 nodes and adds the interior of P, k = -1, as its check.
+    assert calls == Counter([*range(1, n + 2), -1])
 
 
 def test_analyze_scans_each_dilation_once(monkeypatch):
     calls = scanned_dilations(monkeypatch)
     analyze(load_bundled("futaki_1_2"), name="futaki_1_2")
-    # A 4-fold with Bc_1 != 0: k = 1..4 for the Ehrhart samples (k_max = 3
-    # and the chain share 1..3); the chain stops at its first witness.
-    assert calls == Counter(range(1, 5))
+    # A 4-fold with Bc_1 != 0: k = 1..3 for Bc_k (k_max = 3), which the
+    # Ehrhart polynomial takes as nodes beside the interior of P, k = -1;
+    # the chain stops at its first witness.
+    assert calls == Counter([1, 2, 3, -1])
 
 
 def assert_matches_direct_scan(p, k):
@@ -247,15 +327,17 @@ def test_large_dilations_come_from_the_polynomials(monkeypatch):
     quantized_barycenter(p, 26)
     assert calls == Counter({26: 1})
     quantized_barycenter(p, 30)
-    # k = 1..5 for the samples and 6 = n+2 for the check of the closed form
-    assert calls == Counter([26, *range(1, 7)])
+    # The n+2 = 6 nodes: 26, which the plan holds, then 1, -1, 2, -2, 3,
+    # where -k is a scan of the interior of kP.
+    nodes = Counter([26, 1, -1, 2, -2, 3])
+    assert calls == nodes
     quantized_barycenter(p, 60)
     count_lattice_points(p, 45)
-    assert calls == Counter([26, *range(1, 7)])
+    assert calls == nodes
     assert plan_for_polytope(p).rational is not None
     for k in (26, 30, 45, 60):
         assert_matches_direct_scan(p, k)
-    assert calls == Counter([26, *range(1, 7)])
+    assert calls == nodes
 
 
 def test_polynomial_route_matches_the_scan(monkeypatch):
@@ -265,7 +347,8 @@ def test_polynomial_route_matches_the_scan(monkeypatch):
     for p, k in zip(fourfolds, (27, 28, 27, 30)):
         assert_matches_direct_scan(p, k)
         assert plan_for_polytope(p).rational is not None
-    assert max(calls) == 6  # only the samples k = 1..n+2 were scanned
+    # Only the nodes +-1, +-2, +-3 were scanned, once per polytope.
+    assert calls == Counter({k: 4 for k in (1, -1, 2, -2, 3, -3)})
 
 
 def test_polynomials_of_threefolds_match_the_scan():
@@ -310,7 +393,9 @@ def test_memoized_plans_scan_large_dilations(monkeypatch):
     barycenter_rational_function(futaki_2_2)
     assert quantized_barycenter(futaki_2_2, 16) == bc
     quantized_barycenter(futaki_2_2, 20)
-    assert calls == Counter([12, 16, 20, *range(1, 8)])
+    # The rational function's n+2 = 7 nodes: 16, which the plan holds,
+    # then 1, -1, 2, -2, 3, -3.
+    assert calls == Counter([12, 16, 20, 1, -1, 2, -2, 3, -3])
 
 
 def test_seven_dimensional_scan_at_scale():
@@ -319,3 +404,46 @@ def test_seven_dimensional_scan_at_scale():
         plan = plan_for_polytope(polytope_from_fan(generate_futaki(3, 3)))
         scans = [plan_count_and_sum(plan, k) for k in (3, 9)]
     assert scans == [(1_362_705, (0,) * 7), (1_491_498_613, (0,) * 7)]
+
+
+def test_ehrhart_polynomial_scans_the_nodes_nearest_zero(monkeypatch):
+    # From cold caches a 7-fold's n = 7 nodes are 1, -1, 2, -2, 3, -3, 4,
+    # each scanned once.  Measured at 0.04 s on a 2-core Xeon with Python
+    # 3.11, where scans of k = 1..7 took about 0.2 s.
+    p = polytope_from_fan(generate_futaki(3, 3))
+    volume_and_barycenter(p)
+    calls = scanned_dilations(monkeypatch)
+    with Budget("Ehrhart polynomial of futaki(3,3) from a cold plan", 0.2):
+        e = ehrhart_polynomial(p)
+    assert calls == Counter([1, -1, 2, -2, 3, -3, 4])
+    assert e(5) == plan_count_and_sum(build_plan(p), 5)[0]
+
+
+@pytest.mark.parametrize(
+    "build, scanned, entry, message",
+    [
+        (barycenter_rational_function, (2, True), 0, "counts at two more nodes"),
+        (barycenter_rational_function, (2, True), 1, "sums at a further node"),
+        (ehrhart_polynomial, (1, False), 0, "leading coefficient"),
+    ],
+)
+def test_a_wrong_scan_at_a_node_is_caught(monkeypatch, build, scanned, entry, message):
+    # dp1's nodes from a cold plan are 1, -1, 2, -2.  E is interpolated at
+    # 1 and -1 and checked against the volume, then at 2 and -2; each S_i
+    # is interpolated at 1, -1, 2 and checked at -2 alone.
+    # The plan is a fresh one, so that no cached plan keeps a wrong scan.
+    p = polytope_from_fan(load_bundled("dp1"))
+    plan = build_plan(p)
+    monkeypatch.setattr(latticecount, "plan_for_polytope", lambda q: plan)
+    scan = latticecount.plan_count_and_sum
+
+    def off_by_one(plan, k, interior=False):
+        result = scan(plan, k, interior)
+        if (k, interior) == scanned:
+            count, sums = result
+            result = (count + 1, sums) if entry == 0 else (count, (sums[0] + 1, *sums[1:]))
+        return result
+
+    monkeypatch.setattr(latticecount, "plan_count_and_sum", off_by_one)
+    with pytest.raises(InvariantViolation, match=message):
+        build(p)
