@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import InvariantViolation, ValidationError
 from .fan import is_complete, is_fano, is_simplicial, is_smooth, polytope_from_fan
 from .latticecount import enumerate_lattice_points
-from .linalg import dot, smith_normal_form
+from .linalg import dot, hermite_form, smith_normal_form, transpose
 from .symmetry import aut0_subgroup, polytope_automorphisms, roots
 
 
@@ -20,9 +20,13 @@ from .symmetry import aut0_subgroup, polytope_automorphisms, roots
 class ClassGroup:
     """Cokernel of the pairing map M -> Z^rays, with per-ray degrees.
 
-    A degree label is a pair (free part, torsion part); the free
-    coordinates are canonicalized by a column Hermite form so equal labels
-    mean equal divisor classes.
+    A degree label is a pair (free part, torsion part).  The free part is
+    canonical: it is the column Hermite form of the free coordinates, which
+    is unique under a change of basis of Cl/torsion, so it depends only on
+    the rays and their order.  The torsion coordinates are Smith
+    coordinates, residues modulo each invariant factor > 1; they depend on
+    the Smith transform and are not canonical.  Within one class group,
+    equal labels mean equal classes.
     """
 
     free_rank: int
@@ -30,100 +34,48 @@ class ClassGroup:
     degree_of: tuple  # per ray: (free tuple, torsion tuple)
 
 
-def _column_hermite(rows):
-    """Canonical column form (unique under right GL(r, Z)-action)."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return tuple(tuple(r) for r in m)
-    nrows, ncols = len(m), len(m[0])
-    col = 0
-    for row in range(nrows):
-        if col >= ncols:
-            break
-        piv = None
-        for j in range(col, ncols):
-            if m[row][j] != 0:
-                piv = j
-                break
-        if piv is None:
-            continue
-        for i in range(nrows):
-            m[i][col], m[i][piv] = m[i][piv], m[i][col]
-        while True:
-            nz = [j for j in range(col + 1, ncols) if m[row][j] != 0]
-            if not nz:
-                break
-            for j in nz:
-                q = m[row][j] // m[row][col]
-                for i in range(nrows):
-                    m[i][j] -= q * m[i][col]
-                if m[row][j] != 0:
-                    for i in range(nrows):
-                        m[i][col], m[i][j] = m[i][j], m[i][col]
-        if m[row][col] < 0:
-            for i in range(nrows):
-                m[i][col] = -m[i][col]
-        for j in range(col):
-            q = m[row][j] // m[row][col]
-            for i in range(nrows):
-                m[i][j] -= q * m[i][col]
-        col += 1
-    return tuple(tuple(r) for r in m)
-
-
 def class_group(f):
     """Divisor class group from the Smith form of the d x n pairing matrix."""
     if not is_complete(f):
         raise ValidationError("class group computed for complete fans only")
     n, d = f.dim, len(f.rays)
-    pairing = tuple(f.rays)  # row i is <., v_i> as a map M -> Z^d
-    dec = smith_normal_form(pairing)
-    diag = list(dec.diagonal) + [0] * (d - len(dec.diagonal))
-    if any(x == 0 for x in dec.diagonal):
+    dec = smith_normal_form(tuple(f.rays))  # row i is <., v_i> as a map M -> Z^d
+    if 0 in dec.diagonal:
         raise ValidationError("rays do not span; fan cannot be complete")
     torsion = tuple(x for x in dec.diagonal if x > 1)
     free_rank = d - n
 
-    # Degree of ray i = image of e_i in the cokernel, in Smith coordinates
-    # (left transform applied), dropping the trivial Z/1 factors.
-    torsion_pos = [j for j, x in enumerate(diag) if x > 1]
-    free_pos = [j for j in range(d) if j >= len(dec.diagonal) or diag[j] == 0]
+    # Degree of ray i = image of e_i in the cokernel: column i of the left
+    # transform, whose rows n..d-1 are the free coordinates and whose row
+    # j < n is a residue modulo diagonal entry j (the trivial Z/1 dropped).
     u = dec.left
-    free_rows = []
-    tors_parts = []
-    for i in range(d):
-        col = tuple(u[j][i] for j in range(d))
-        free_rows.append(tuple(col[j] for j in free_pos))
-        tors_parts.append(tuple(col[j] % diag[j] for j in torsion_pos))
-    canon = _column_hermite(free_rows)
+    torsion_pos = [j for j, x in enumerate(dec.diagonal) if x > 1]
+    free_rows = [tuple(u[j][i] for j in range(n, d)) for i in range(d)]
+    canon = transpose(hermite_form(transpose(free_rows))[0])
     degrees = tuple(
-        (canon[i], tors_parts[i]) for i in range(d)
+        (canon[i], tuple(u[j][i] % dec.diagonal[j] for j in torsion_pos)) for i in range(d)
     )
 
     # The degree map must kill the image of M.
-    for basis_idx in range(n):
-        img = [f.rays[i][basis_idx] for i in range(d)]
-        free_sum = [0] * free_rank
-        for i in range(d):
-            for j in range(free_rank):
-                free_sum[j] += img[i] * degrees[i][0][j]
-        if any(x != 0 for x in free_sum):
+    tors_rows = [t for _, t in degrees]
+    for img in zip(*f.rays):
+        if any(dot(img, col) for col in zip(*canon)):
             raise InvariantViolation("degree map does not kill principal divisors")
-        for tj, modulus in enumerate(torsion):
-            s = sum(img[i] * degrees[i][1][tj] for i in range(d))
-            if s % modulus != 0:
-                raise InvariantViolation("torsion degree map fails on principal divisors")
+        if any(dot(img, col) % mod for col, mod in zip(zip(*tors_rows), torsion)):
+            raise InvariantViolation("torsion degree map fails on principal divisors")
     return ClassGroup(free_rank=free_rank, torsion=torsion, degree_of=degrees)
+
+
+def _classes(cg):
+    groups = {}
+    for i, deg in enumerate(cg.degree_of):
+        groups.setdefault(deg, []).append(i)
+    return tuple((c, tuple(groups[c])) for c in sorted(groups))
 
 
 def variable_classes(f):
     """Rays grouped by divisor class: the partition and the occupied classes."""
-    cg = class_group(f)
-    groups = {}
-    for i, deg in enumerate(cg.degree_of):
-        groups.setdefault(deg, []).append(i)
-    classes = sorted(groups)
-    return tuple((c, tuple(groups[c])) for c in classes)
+    return _classes(class_group(f))
 
 
 def graded_dimension(f, alpha, classes=None, points=None):
@@ -199,7 +151,7 @@ def demazure_report(f):
     if not is_complete(f):
         raise ValidationError("structure report requires a complete fan")
     cg = class_group(f)
-    classes = variable_classes(f)
+    classes = _classes(cg)
     rd = roots(f)
     points = enumerate_lattice_points(polytope_from_fan(f))
     graded = tuple((a, graded_dimension(f, a, classes, points)) for a, _ in classes)

@@ -155,7 +155,10 @@ def build_plan(p):
     coefficient on x_j belongs to a level below.  The vertices are scaled
     once to integer points D*v, whose projections' facets a.y <= c come
     from the integer hull routine `polytope._facets`, with no Polytope
-    built.  On kP such a facet is the integer row (D/g)*a . x <= (c/g)*k,
+    built.  The points go to the hull in lexicographic order, which the
+    double description's cost depends on (Fukuda and Prodon 1996): V_8's
+    7-dim projection takes about 0.03 s so, and 1.3-2.1 s in hash order.
+    On kP such a facet is the integer row (D/g)*a . x <= (c/g)*k,
     g = gcd(c, D), and P's own facet a.x <= b is (den b)*a . x <= (num b)*k,
     so one plan serves every dilation.
     """
@@ -164,7 +167,7 @@ def build_plan(p):
     levels = []
     for j in range(n - 1):
         rows = []
-        for a, c in sorted(_facets(list({v[: j + 1] for v in verts}), j + 1)):
+        for a, c in sorted(_facets(sorted({v[: j + 1] for v in verts}), j + 1)):
             if a[j]:
                 g = gcd(c, den)
                 rows.append(PlanRow(coeffs=tuple(den // g * x for x in a), c0=0, ck=c // g))

@@ -4,12 +4,14 @@ Vectors are tuples, matrices are tuples of row tuples.  Entries are Python
 ints or `fractions.Fraction`; nothing in this module (or anywhere else in
 the package) touches floating point, so every result is exact.
 
-Rank, kernel, determinant, solve and the integer adjugate all go through
-one fraction-free Gauss-Jordan elimination (Bareiss 1968): a row with a
-Fraction is scaled to integers once by the lcm of its denominators
-(`integer_row`), and after that every division is exact.  Rank, independent
-rows and determinant stop at the forward sweep below each pivot.
-The Smith normal form keeps its own unimodular reduction.
+There are two elimination kernels.  Rank, independent rows, kernel,
+determinant, solve and the integer adjugate go through one fraction-free
+Gauss-Jordan elimination over Q (Bareiss 1968): a row with a Fraction is
+scaled to integers once by the lcm of its denominators (`integer_row`), and
+after that every division is exact.  Rank, independent rows and determinant
+stop at the forward sweep below each pivot.  Unimodular reduction over Z is
+the row Hermite normal form (`hermite_form`); the Smith normal form
+alternates it on the rows and the columns (Cohen, GTM 138, 2.4).
 """
 
 from dataclasses import dataclass
@@ -208,6 +210,62 @@ def invert_unimodular(a):
     return tuple(tuple(d * x for x in row) for row in adj)
 
 
+def _xgcd(a, b):
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def hermite_form(a):
+    """(H, U): the row Hermite normal form H of the integer matrix a, U*a = H.
+
+    U is unimodular.  H is in row echelon form with positive pivots, each
+    entry above a pivot lies in 0..pivot-1, and zero rows come last; these
+    make H unique (Cohen, GTM 138, 2.4.2).  Column by column, the pivot row
+    takes the gcd of the entries below it, by exact elimination when the
+    pivot divides an entry and by a 2x2 extended-gcd step otherwise.  The
+    row operations act on [a | I], whose right block ends as U.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    w = [list(row) + list(unit) for row, unit in zip(a, identity(m))]
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        for i in range(r + 1, m):
+            x, y = w[r][c], w[i][c]
+            if not y:
+                continue
+            if x and y % x == 0:
+                q = y // x
+                w[i] = [e - q * f for e, f in zip(w[i], w[r])]
+                continue
+            # [[s, t], [-y/g, x/g]] has determinant 1 and clears w[i][c].
+            g, s, t = _xgcd(x, y)
+            p, q = x // g, y // g
+            w[r], w[i] = (
+                [s * e + t * f for e, f in zip(w[r], w[i])],
+                [p * f - q * e for e, f in zip(w[r], w[i])],
+            )
+        pivot = w[r][c]
+        if not pivot:
+            continue
+        if pivot < 0:
+            pivot = -pivot
+            w[r] = [-e for e in w[r]]
+        for i in range(r):
+            q = w[i][c] // pivot
+            if q:
+                w[i] = [e - q * f for e, f in zip(w[i], w[r])]
+        r += 1
+    return tuple(tuple(row[:n]) for row in w), tuple(tuple(row[n:]) for row in w)
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U * A * V = diag(diagonal), with U, V unimodular.
@@ -225,99 +283,60 @@ class SmithDecomposition:
         return mat_mul(mat_mul(self.left, a), self.right)
 
 
-def smith_normal_form(a):
-    """Smith normal form by repeated gcd pivoting.
+def _is_diagonal(d):
+    return not any(x for i, r in enumerate(d) for j, x in enumerate(r) if i != j)
 
-    Works entirely over the integers, accumulating the left and right
-    transforms explicitly.  Matrices here are tiny, so no modular or
-    pivot-growth tricks are needed.
+
+def smith_normal_form(a):
+    """Smith normal form from alternating row and column Hermite forms.
+
+    The row form of D, then the row form of D^T, replace D until it is
+    diagonal (Kannan and Bachem 1979; Cohen, GTM 138, 2.4.14).  Each form
+    replaces a leading pivot by the gcd of its column, or of its row, so
+    a pivot only shrinks, and it stays the same only once its row and
+    column are clear.  The diagonal's nonzero entries then lead, and one
+    extended-gcd step per pair of them, diag(x, y) -> diag(g, xy/g), makes
+    each divide the next.
     """
     if not a or not a[0]:
         raise ValueError("matrix must be nonempty")
     m, n = len(a), len(a[0])
-    d = [list(r) for r in a]
-    u = [list(r) for r in identity(m)]
-    v = [list(r) for r in identity(n)]
+    d, left = hermite_form(a)
+    right = identity(n)
+    while not _is_diagonal(d):
+        h, w = hermite_form(transpose(d))
+        d, right = transpose(h), mat_mul(right, transpose(w))
+        if _is_diagonal(d):
+            break
+        d, w = hermite_form(d)
+        left = mat_mul(w, left)
 
-    def row_op(i, j, q):  # row_i -= q * row_j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+    diag = [d[t][t] for t in range(min(m, n))]
+    left, right = [list(r) for r in left], [list(r) for r in right]
+    nonzero = sum(1 for x in diag if x)
+    for i in range(nonzero):
+        for j in range(i + 1, nonzero):
+            x, y = diag[i], diag[j]
+            if y % x == 0:
+                continue
+            # U' = [[s, t], [-y/g, x/g]] on rows i, j of U and
+            # V' = [[1, -t*y/g], [1, s*x/g]] on columns i, j of V give
+            # U' diag(x, y) V' = diag(g, xy/g); both have determinant 1.
+            g, s, t = _xgcd(x, y)
+            p, q = x // g, y // g
+            ri, rj = left[i], left[j]
+            left[i] = [s * e + t * f for e, f in zip(ri, rj)]
+            left[j] = [p * f - q * e for e, f in zip(ri, rj)]
+            for row in right:
+                ci, cj = row[i], row[j]
+                row[i], row[j] = ci + cj, s * p * cj - t * q * ci
+            diag[i], diag[j] = g, p * y
 
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in d:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    for t in range(min(m, n)):
-        while True:
-            piv = min(
-                ((i, j) for i in range(t, m) for j in range(t, n) if d[i][j] != 0),
-                key=lambda ij: abs(d[ij[0]][ij[1]]),
-                default=None,
-            )
-            if piv is None:
-                break
-            swap_rows(t, piv[0])
-            swap_cols(t, piv[1])
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    row_op(i, t, q)
-                    dirty = dirty or d[i][t] != 0
-            for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    col_op(j, t, q)
-                    dirty = dirty or d[t][j] != 0
-            if not dirty:
-                break
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-
-    # Enforce the divisibility chain d_t | d_{t+1}.
-    k = min(m, n)
-    changed = True
-    while changed:
-        changed = False
-        for t in range(k - 1):
-            x, y = d[t][t], d[t + 1][t + 1]
-            if x != 0 and y % x != 0 or (x == 0 and y != 0):
-                col_op(t, t + 1, -1)  # col_t += col_{t+1}
-                # Re-clear the 2x2 block with gcd pivoting.
-                while d[t + 1][t] != 0 or d[t][t + 1] != 0:
-                    if d[t + 1][t] != 0:
-                        if d[t][t] == 0 or (d[t][t] != 0 and abs(d[t + 1][t]) < abs(d[t][t])):
-                            swap_rows(t, t + 1)
-                        if d[t + 1][t] != 0 and d[t][t] != 0:
-                            row_op(t + 1, t, d[t + 1][t] // d[t][t])
-                    if d[t][t + 1] != 0:
-                        if d[t][t] == 0 or (d[t][t] != 0 and abs(d[t][t + 1]) < abs(d[t][t])):
-                            swap_cols(t, t + 1)
-                        if d[t][t + 1] != 0 and d[t][t] != 0:
-                            col_op(t + 1, t, d[t][t + 1] // d[t][t])
-                for s in (t, t + 1):
-                    if d[s][s] < 0:
-                        d[s] = [-x for x in d[s]]
-                        u[s] = [-x for x in u[s]]
-                changed = True
-
-    diag = tuple(d[t][t] for t in range(k))
-    left = tuple(tuple(r) for r in u)
-    right = tuple(tuple(r) for r in v)
-    dec = SmithDecomposition(left=left, diagonal=diag, right=right)
+    diag = tuple(diag)
+    k = len(diag)
+    dec = SmithDecomposition(
+        left=tuple(map(tuple, left)), diagonal=diag, right=tuple(map(tuple, right))
+    )
     full = dec.reconstruct(a)
     if any(
         full[i][j] != (diag[i] if i == j and i < k else 0)
@@ -325,7 +344,7 @@ def smith_normal_form(a):
         for j in range(n)
     ):
         raise InvariantViolation("Smith decomposition failed to reconstruct")
-    if not (is_unimodular(left) and is_unimodular(right)):
+    if not (is_unimodular(dec.left) and is_unimodular(dec.right)):
         raise InvariantViolation("Smith transforms are not unimodular")
     return dec
 

@@ -23,6 +23,7 @@ from .linalg import (
     det,
     dot,
     gcd_vector,
+    independent_rows,
     integer_row,
     kernel_basis,
     primitive_vector,
@@ -107,14 +108,14 @@ def extreme_rays(eqs, ineqs, n):
 
     Integer double description (Motzkin et al. 1953; Fukuda and Prodon,
     "Double description method revisited", 1996).  In a basis of the
-    solutions of `eqs` it starts from the simplicial cone on d independent
-    rows, then adds the other rows one at a time.  A ray on the positive
-    side of the new row and one on its negative side are combined only
-    when they are adjacent: their common zero set has at least d-2 rows
-    and no third ray vanishes on all of it.  Every new ray is made
-    primitive.  The start rays are the columns of the adjugate of the start
-    rows, so every number stays an integer.  The rays come back sorted;
-    ValueError means the cone is not pointed.
+    solutions of `eqs` it starts from the simplicial cone on the first d
+    independent rows (`independent_rows`), then adds the other rows one at
+    a time.  A ray on the positive side of the new row and one on its
+    negative side are combined only when they are adjacent: their common
+    zero set has at least d-2 rows and no third ray vanishes on all of it.
+    Every new ray is made primitive.  The start rays are the columns of the
+    adjugate of the start rows, so every number stays an integer.  The rays
+    come back sorted; ValueError means the cone is not pointed.
     """
     basis = kernel_basis(eqs) if eqs else None
     d = len(basis) if eqs else n
@@ -122,17 +123,7 @@ def extreme_rays(eqs, ineqs, n):
         return ()
     rows = [tuple(dot(u, b) for b in basis) for u in ineqs] if eqs else ineqs
     rows = [r for r in rows if any(r)]
-    start, echelon = [], []
-    for i, row in enumerate(rows):
-        for c, e in echelon:
-            if row[c]:
-                row = tuple(e[c] * x - row[c] * y for x, y in zip(row, e))
-        if any(row):
-            row = primitive_vector(row)
-            echelon.append((next(c for c, x in enumerate(row) if x), row))
-            start.append(i)
-            if len(start) == d:
-                break
+    start = independent_rows(rows)
     if len(start) < d:
         raise ValueError("cone is not pointed")
 

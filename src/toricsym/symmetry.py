@@ -29,9 +29,9 @@ from .linalg import (
     adjugate,
     dot,
     identity,
+    independent_rows,
     kernel_basis,
     mat_vec,
-    rank,
     transpose,
     vec_scale,
     vec_sub,
@@ -81,12 +81,7 @@ def _search_lattice_maps(points, fingerprints, pair_row, n, keep=None):
     Profile rows are built only for frame points and images tried.
     """
     m = len(points)
-    frame = []
-    for i in range(m):
-        if rank([points[j] for j in frame + [i]]) == len(frame) + 1:
-            frame.append(i)
-        if len(frame) == n:
-            break
+    frame = list(independent_rows(points))
     if len(frame) < n:
         raise ValidationError("points do not span the space")
 

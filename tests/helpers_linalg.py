@@ -4,8 +4,10 @@ These are the routines that the fraction-free kernel of `toricsym.linalg`
 and the project-and-lift `latticecount.build_plan` replaced: a Fraction
 reduced row echelon form behind rank, kernel and inverse, a Bareiss
 determinant with a Fraction fallback, a Fraction Gauss-Jordan solve, and the
-Fourier-Motzkin plan build over Fractions.  They share no code with the library routines,
-so the tests compare the two on random and bundled inputs.
+Fourier-Motzkin plan build over Fractions.  The column Hermite form that
+labelled the divisor classes before `linalg.hermite_form` is here too.
+They share no code with the library routines, so the tests compare the two
+on random and bundled inputs.
 """
 
 from fractions import Fraction
@@ -150,6 +152,47 @@ def solve_rational(a, b):
                 f = aug[i][k]
                 aug[i] = [e - f * p for e, p in zip(aug[i], aug[k])]
     return tuple(r[n] for r in aug)
+
+
+def column_hermite(rows):
+    """Canonical column form (unique under right GL(r, Z)-action)."""
+    m = [list(r) for r in rows]
+    if not m or not m[0]:
+        return tuple(tuple(r) for r in m)
+    nrows, ncols = len(m), len(m[0])
+    col = 0
+    for row in range(nrows):
+        if col >= ncols:
+            break
+        piv = None
+        for j in range(col, ncols):
+            if m[row][j] != 0:
+                piv = j
+                break
+        if piv is None:
+            continue
+        for i in range(nrows):
+            m[i][col], m[i][piv] = m[i][piv], m[i][col]
+        while True:
+            nz = [j for j in range(col + 1, ncols) if m[row][j] != 0]
+            if not nz:
+                break
+            for j in nz:
+                q = m[row][j] // m[row][col]
+                for i in range(nrows):
+                    m[i][j] -= q * m[i][col]
+                if m[row][j] != 0:
+                    for i in range(nrows):
+                        m[i][col], m[i][j] = m[i][j], m[i][col]
+        if m[row][col] < 0:
+            for i in range(nrows):
+                m[i][col] = -m[i][col]
+        for j in range(col):
+            q = m[row][j] // m[row][col]
+            for i in range(nrows):
+                m[i][j] -= q * m[i][col]
+        col += 1
+    return tuple(tuple(r) for r in m)
 
 
 def _normalize_row(coeffs, c0, c1):

@@ -1,8 +1,9 @@
 import pytest
 
 import helpers_linalg
+from toricsym import demazure
 from toricsym.datasets import BUNDLED, load_bundled
-from toricsym.errors import ValidationError
+from toricsym.errors import InvariantViolation, ValidationError
 from toricsym.families import generate_futaki
 from toricsym.fan import Fan
 from toricsym.demazure import (
@@ -13,7 +14,7 @@ from toricsym.demazure import (
     variable_classes,
 )
 from toricsym.latticecount import plan_points
-from toricsym.linalg import vec_scale
+from toricsym.linalg import SmithDecomposition, mat_vec, smith_normal_form, vec_scale
 from toricsym.symmetry import RootData, roots
 
 
@@ -104,6 +105,59 @@ def test_class_group_weighted_112(w112_fan):
     cg = class_group(w112_fan)
     assert cg.free_rank == 1 and cg.torsion == ()
     assert [d[0] for d in cg.degree_of] == [(1,), (2,), (1,)]
+
+
+# P^2 / mu_3: Cl = Z + Z/3, and the three rays share their free class.
+P2_MU3_RAYS = ((2, -1), (-1, 2), (-1, -1))
+
+
+def assert_p2_mu3_invariants(f):
+    cg = class_group(f)
+    assert cg.torsion == (3,) and cg.free_rank == 1
+    assert len(set(cg.degree_of)) == 3
+    assert len({free for free, _ in cg.degree_of}) == 1
+    assert len({tors for _, tors in cg.degree_of}) == 3
+    rep = demazure_report(f)
+    assert rep.gs_factor_sizes == (1, 1, 1)
+    assert rep.dim_aut0 == 2
+    assert roots(f).roots == ()
+    assert rep.weyl_order is None
+    return cg, rep
+
+
+def test_class_group_with_torsion():
+    # The torsion coordinates are Smith coordinates, fixed only up to an
+    # automorphism of Z/3, so the invariants are asserted, not the values.
+    f = Fan.from_rays(P2_MU3_RAYS)
+    cg, rep = assert_p2_mu3_invariants(f)
+    g = ((2, 1), (1, 1))  # in GL(2, Z)
+    image = Fan.from_rays(tuple(mat_vec(g, v) for v in f.rays))
+    cg_image, rep_image = assert_p2_mu3_invariants(image)
+    assert [free for free, _ in cg_image.degree_of] == [free for free, _ in cg.degree_of]
+    assert rep_image.gs_factor_sizes == rep.gs_factor_sizes
+    assert sorted(d for _, d in rep_image.graded_dims) == sorted(d for _, d in rep.graded_dims)
+
+
+def test_principal_divisor_checks_raise(monkeypatch):
+    # A free or a torsion label that does not kill the image of M raises,
+    # so `python -O` keeps both checks.
+    f = Fan.from_rays(P2_MU3_RAYS)
+    with monkeypatch.context() as m:
+        m.setattr(demazure, "hermite_form", lambda a: (((a[0][0] + 1,) + a[0][1:],) + a[1:], None))
+        with pytest.raises(InvariantViolation, match="does not kill"):
+            class_group(f)
+
+    def shifted_smith(a):
+        # Row 1 of U carries the Z/3 coordinate; shifting one entry moves
+        # one ray's torsion label and leaves the free rows alone.
+        dec = smith_normal_form(a)
+        left = [list(r) for r in dec.left]
+        left[1][0] += 1
+        return SmithDecomposition(tuple(map(tuple, left)), dec.diagonal, dec.right)
+
+    monkeypatch.setattr(demazure, "smith_normal_form", shifted_smith)
+    with pytest.raises(InvariantViolation, match="torsion"):
+        class_group(f)
 
 
 def test_variable_classes_p2(p2_fan):
