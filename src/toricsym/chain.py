@@ -19,13 +19,13 @@ all to vanish), and n+1 vanishing values, checked through the barycenter
 rational function, rule all three in.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonFanoError
+from .errors import NonFanoError, ValidationError
 from .fan import is_fano, polytope_from_fan
 from .latticecount import quantized_barycenter, rigidity_verdict
 from .polytope import volume_and_barycenter
+from .record import Record
 from .stability import alpha_invariant
 from .symmetry import classify_symmetry, roots
 
@@ -48,12 +48,13 @@ CHAIN_IMPLICATIONS = (
 LOW_DIMENSION_IMPLICATION = ("bc_zero", "bs_symmetric")  # valid for n <= 6
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    nodes: tuple  # of (name, bool)
-    violations: tuple  # of (premise, conclusion)
-    quantized: tuple  # of (k, Bc_k) actually computed
-    barycenter: tuple
+class ChainReport(Record):
+    __slots__ = (
+        "nodes",  # of (name, bool)
+        "violations",  # of (premise, conclusion)
+        "quantized",  # of (k, Bc_k) actually computed
+        "barycenter",
+    )
 
     @property
     def consistent(self):
@@ -70,6 +71,8 @@ def verify_implication_chain(f, k_budget=None):
     value so far vanishes: one nonzero value decides nodes 4-6, and n+1
     vanishing values are needed (and suffice) for the other verdict.
     """
+    if k_budget is not None and k_budget < 0:
+        raise ValidationError("k_budget must be a nonnegative integer")
     if not is_fano(f):
         raise NonFanoError("chain verification requires a Fano fan")
     n = f.dim

@@ -7,17 +7,15 @@ the unipotent radical has one parameter per unipotent root, and the
 component group is Aut P / Aut_0 P in the smooth Fano case.
 """
 
-from dataclasses import dataclass
-
 from .errors import InvariantViolation, ValidationError
 from .fan import is_complete, is_fano, is_simplicial, is_smooth, polytope_from_fan
 from .latticecount import enumerate_lattice_points
 from .linalg import dot, hermite_form, smith_normal_form, transpose
+from .record import Record
 from .symmetry import aut0_subgroup, polytope_automorphisms, roots
 
 
-@dataclass(frozen=True)
-class ClassGroup:
+class ClassGroup(Record):
     """Cokernel of the pairing map M -> Z^rays, with per-ray degrees.
 
     A degree label is a pair (free part, torsion part).  The free part is
@@ -29,9 +27,11 @@ class ClassGroup:
     equal labels mean equal classes.
     """
 
-    free_rank: int
-    torsion: tuple  # invariant factors > 1
-    degree_of: tuple  # per ray: (free tuple, torsion tuple)
+    __slots__ = (
+        "free_rank",
+        "torsion",  # invariant factors > 1
+        "degree_of",  # per ray: (free tuple, torsion tuple)
+    )
 
 
 def class_group(f):
@@ -127,16 +127,17 @@ def root_automorphism(f, m, root_data=None):
     return v0, exponents
 
 
-@dataclass(frozen=True)
-class DemazureReport:
-    is_reductive: bool
-    unipotent_dim: int
-    gs_factor_sizes: tuple  # sorted multiset of |Delta_alpha|
-    graded_dims: tuple  # of (class label, dim S_alpha)
-    dim_aut0: int
-    weyl_order: object  # int, or None when not computed
-    component_group_order: object  # int, or None when not computed
-    class_group: ClassGroup
+class DemazureReport(Record):
+    __slots__ = (
+        "is_reductive",
+        "unipotent_dim",
+        "gs_factor_sizes",  # sorted multiset of |Delta_alpha|
+        "graded_dims",  # of (class label, dim S_alpha)
+        "dim_aut0",
+        "weyl_order",  # int, or None when not computed
+        "component_group_order",  # int, or None when not computed
+        "class_group",
+    )
 
 
 def demazure_report(f):

@@ -6,7 +6,6 @@ convex hull of the rays, so rays alone determine everything; `Fan.from_rays`
 builds that face fan.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -21,6 +20,7 @@ from .polytope import (
     polytope_from_vertices,
     vertices_from_inequalities,
 )
+from .record import Record
 
 
 def _lattice_point(v):
@@ -33,11 +33,12 @@ def _lattice_point(v):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Fan:
-    dim: int
-    rays: tuple  # of primitive integer tuples
-    max_cones: tuple  # of tuples of ray indices, each sorted
+class Fan(Record):
+    __slots__ = (
+        "dim",
+        "rays",  # of primitive integer tuples
+        "max_cones",  # of tuples of ray indices, each sorted
+    )
 
     @staticmethod
     def make(dim, rays, max_cones):
@@ -113,10 +114,8 @@ def _is_strongly_convex(rays, n):
     return rank(eqs + ineqs) == n
 
 
-@dataclass(frozen=True)
-class FanValidationReport:
-    ok: bool
-    problems: tuple
+class FanValidationReport(Record):
+    __slots__ = ("ok", "problems")
 
     def __bool__(self):
         return self.ok

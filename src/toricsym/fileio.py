@@ -1,6 +1,9 @@
 """Text formats for fans and polytopes.
 
-Fan file (UTF-8, `#` comments allowed anywhere):
+Files must be UTF-8 text: any other bytes raise `ParseError`, naming the
+line of the first bad byte, and the CLI exits with code 2 on it.
+
+Fan file (`#` comments allowed anywhere):
 
     dim <n>
     rays <d>
@@ -15,6 +18,7 @@ Polytope file:
     <m lines of rationals, `p/q` or plain integers>
 """
 
+import io
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
@@ -23,12 +27,18 @@ from .polytope import polytope_from_vertices
 
 
 def _tokens(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text (byte {data[exc.start]:#04x})", line) from None
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                out.append((lineno, line.split()))
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((lineno, line.split()))
     return out
 
 

@@ -71,7 +71,6 @@ re-pricing needs the crossovers measured again:
   (whose counts are quasi-polynomials) and every k below the rule.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -79,19 +78,16 @@ from math import gcd
 from .errors import InvariantViolation, NonLatticePolytopeError, ValidationError
 from .linalg import independent_rows, solve_rational
 from .polytope import _facets, _scaled, is_lattice_polytope, volume_and_barycenter
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PlanRow:
+class PlanRow(Record):
     """sum(coeffs[i] * x[i] for i <= level) <= c0 + ck * k, all integers."""
 
-    coeffs: tuple
-    c0: int
-    ck: int
+    __slots__ = ("coeffs", "c0", "ck")
 
 
-@dataclass(frozen=True)
-class EnumerationPlan:
+class EnumerationPlan(Record):
     """Per-coordinate bound systems read off the projections of a polytope.
 
     `levels[j]` bounds x_j given x_0..x_{j-1}: its rows are the facets of
@@ -117,34 +113,39 @@ class EnumerationPlan:
     A hand-built plan is checked when made: every row at level j has j+1
     coefficients, and every level holds a row with a positive and a row
     with a negative last coefficient, so each interval is bounded.
+    Equality, the hash and the repr read `dim`, `levels` and `constants`.
     """
 
-    dim: int
-    levels: tuple  # levels[j]: tuple of PlanRow with len(coeffs) == j+1
-    constants: tuple = ()
-    scans: dict = field(default_factory=dict, compare=False, repr=False)
-    rational: object = field(default=None, init=False, compare=False, repr=False)
-    memo_keys: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = (
+        "dim",
+        "levels",  # levels[j]: tuple of PlanRow with len(coeffs) == j+1
+        "constants",
+        "scans",
+        "rational",
+        "memo_keys",
+    )
+    _compare = ("dim", "levels", "constants")
 
-    def __post_init__(self):
-        for j, level in enumerate(self.levels):
+    def __init__(self, dim, levels, constants=(), scans=None):
+        for j, level in enumerate(levels):
             if any(len(row.coeffs) != j + 1 for row in level):
                 raise ValidationError(f"plan level {j} has a row without {j + 1} coefficients")
             lasts = [row.coeffs[j] for row in level]
             if not (any(c > 0 for c in lasts) and any(c < 0 for c in lasts)):
                 raise ValidationError(f"plan level {j} lacks an upper or a lower row")
-        keys = [None] * self.dim
-        for j in range(1, self.dim - 1):
+        keys = [None] * dim
+        for j in range(1, dim - 1):
             rows = [
                 (jj, r)
-                for jj in range(j, self.dim)
-                for r, row in enumerate(self.levels[jj])
+                for jj in range(j, dim)
+                for r, row in enumerate(levels[jj])
                 if any(row.coeffs[:j])
             ]
-            basis = independent_rows([self.levels[jj][r].coeffs[:j] for jj, r in rows])
+            basis = independent_rows([levels[jj][r].coeffs[:j] for jj, r in rows])
             if len(basis) < j:
                 keys[j] = tuple(rows[i] for i in basis)
-        object.__setattr__(self, "memo_keys", tuple(keys))
+        scans = {} if scans is None else scans
+        Record.__init__(self, dim, levels, constants, scans, None, tuple(keys))
 
 
 def build_plan(p):
@@ -617,11 +618,10 @@ def _evaluate(coefficients, k):
     return acc
 
 
-@dataclass(frozen=True)
-class EhrhartPolynomial:
+class EhrhartPolynomial(Record):
     """Counting polynomial of a lattice polytope; coefficients low to high."""
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
 
     @property
     def degree(self):
@@ -675,12 +675,13 @@ def ehrhart_polynomial(p):
     )
 
 
-@dataclass(frozen=True)
-class BarycenterRationalFunction:
+class BarycenterRationalFunction(Record):
     """Bc_{k,i}(P) = numerators[i](k) / ehrhart(k), exactly, for all k >= 1."""
 
-    numerators: tuple  # per coordinate: coefficient tuple, low to high
-    ehrhart: EhrhartPolynomial
+    __slots__ = (
+        "numerators",  # per coordinate: coefficient tuple, low to high
+        "ehrhart",
+    )
 
     def numerator(self, i):
         return self.numerators[i]
@@ -733,12 +734,13 @@ def barycenter_rational_function(p):
     return brf
 
 
-@dataclass(frozen=True)
-class RigidityVerdict:
-    identically_zero: bool
-    witnesses: tuple  # of (k, nonzero Bc_k) pairs
-    continuous_barycenter: tuple  # filled when identically zero
-    rational_function: object
+class RigidityVerdict(Record):
+    __slots__ = (
+        "identically_zero",
+        "witnesses",  # of (k, nonzero Bc_k) pairs
+        "continuous_barycenter",  # filled when identically zero
+        "rational_function",
+    )
 
 
 def rigidity_verdict(p, ks):

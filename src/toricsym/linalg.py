@@ -14,12 +14,12 @@ the row Hermite normal form (`hermite_form`); the Smith normal form
 alternates it on the rows and the columns (Cohen, GTM 138, 2.4).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import InvariantViolation
+from .record import Record
 
 
 def identity(n):
@@ -266,17 +266,14 @@ def hermite_form(a):
     return tuple(tuple(row[:n]) for row in w), tuple(tuple(row[n:]) for row in w)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U * A * V = diag(diagonal), with U, V unimodular.
 
     The diagonal holds the invariant factors: nonnegative, each dividing
     the next (zeros trail).
     """
 
-    left: tuple
-    diagonal: tuple
-    right: tuple
+    __slots__ = ("left", "diagonal", "right")
 
     def reconstruct(self, a):
         """U*A*V, for checking against the stored diagonal."""

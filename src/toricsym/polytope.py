@@ -12,7 +12,6 @@ Coordinates must be exact: an int, a Fraction or a string that Fraction
 reads.  A float raises ValidationError, since 0.1 is not 1/10.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -31,6 +30,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
+from .record import Record
 
 
 def _exact(x):
@@ -50,12 +50,13 @@ def _scaled(points):
     return den, [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(Record):
     """Inequality description: <y, normal> <= rhs for each (normal, rhs)."""
 
-    dim: int
-    inequalities: tuple  # of (normal: tuple[int], rhs: Fraction)
+    __slots__ = (
+        "dim",
+        "inequalities",  # of (normal: tuple[int], rhs: Fraction)
+    )
 
     @staticmethod
     def make(dim, inequalities):
@@ -69,26 +70,32 @@ class HPolytope:
         return HPolytope(dim=dim, inequalities=tuple(ineqs))
 
 
-@dataclass(frozen=True)
-class VPolytope:
+class VPolytope(Record):
     """Irredundant vertex list."""
 
-    vertices: tuple  # of tuple[Fraction]
+    __slots__ = (
+        "vertices",  # of tuple[Fraction]
+    )
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(Record):
     """Paired H- and V-description with facet x vertex incidence.
 
     `incidence[i]` is the frozenset of vertex indices lying on facet i.
     `dropped_inequalities` records redundant input rows removed during
-    vertex enumeration.
+    vertex enumeration; equality, the hash and the repr ignore it.
     """
 
-    h: HPolytope
-    v: VPolytope
-    incidence: tuple  # of frozenset[int]
-    dropped_inequalities: tuple = field(default=(), compare=False)
+    __slots__ = (
+        "h",
+        "v",
+        "incidence",  # of frozenset[int]
+        "dropped_inequalities",
+    )
+    _compare = ("h", "v", "incidence")
+
+    def __init__(self, h, v, incidence, dropped_inequalities=()):
+        Record.__init__(self, h, v, incidence, dropped_inequalities)
 
     @property
     def dim(self):

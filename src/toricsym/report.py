@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .chain import verify_implication_chain
 from .demazure import demazure_report
-from .errors import ToricSymError
+from .errors import ToricSymError, ValidationError
 from .fan import is_complete, is_fano, is_simplicial, is_smooth, polytope_from_fan
 from .latticecount import ehrhart_polynomial, quantized_barycenter
 from .polytope import is_lattice_polytope, volume_and_barycenter
@@ -57,6 +57,8 @@ def _stage(report, key, fn, enabled=True):
 def analyze(fan, name="<memory>", sha256=None, k_max=3, skip_demazure=False,
             skip_ehrhart=False):
     """Run the full pipeline on a fan and return a JSON-ready dict."""
+    if k_max < 0:
+        raise ValidationError("k_max must be a nonnegative integer")
     report = {
         "input": {"name": name, "sha256": sha256},
         "fan": {

@@ -8,7 +8,6 @@ existence verdicts are exactly the vanishing conditions they are
 equivalent to.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation, NonFanoError, ValidationError
@@ -16,6 +15,7 @@ from .fan import is_fano, polytope_from_fan
 from .latticecount import quantized_barycenter
 from .linalg import dot, mat_vec, solve_rational, transpose
 from .polytope import volume_and_barycenter
+from .record import Record
 from .symmetry import fixed_subspace, polytope_automorphisms, roots
 
 
@@ -101,14 +101,15 @@ def delta_k(f, k):
     return _delta_from_barycenter(bc, f.rays)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    delta: Fraction
-    delta_k: tuple  # of (k, Fraction)
-    alpha: tuple  # of (subgroup label, Fraction)
-    ke_exists: bool
-    reductive: bool
-    balanced_k: tuple  # of (k, bool)
+class StabilityReport(Record):
+    __slots__ = (
+        "delta",
+        "delta_k",  # of (k, Fraction)
+        "alpha",  # of (subgroup label, Fraction)
+        "ke_exists",
+        "reductive",
+        "balanced_k",  # of (k, bool)
+    )
 
 
 def metric_verdicts(f, k_budget=3):

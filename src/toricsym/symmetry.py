@@ -13,7 +13,6 @@ generated by one reflection per semisimple root; its order is read off the
 ray transpositions of those reflections.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 
@@ -37,10 +36,10 @@ from .linalg import (
     vec_sub,
 )
 from .polytope import is_lattice_polytope
+from .record import Record
 
 
-@dataclass(frozen=True)
-class LatticeAutGroup:
+class LatticeAutGroup(Record):
     """A finite group of unimodular matrices, as generators and an order.
 
     The generators are integer matrix tuples; the trivial group has none.
@@ -48,8 +47,7 @@ class LatticeAutGroup:
     so the elements are never listed.
     """
 
-    generators: tuple
-    order: int
+    __slots__ = ("generators", "order")
 
 
 def _orbit(point, perms):
@@ -223,17 +221,14 @@ def fixed_subspace(generators, n):
     return kernel_basis(rows)
 
 
-@dataclass(frozen=True)
-class RootData:
+class RootData(Record):
     """Roots m with <m, v> = -1 on exactly one ray and >= 0 elsewhere.
 
     `roots[i]` is (m, paired_ray_index).  Semisimple roots have -m also a
     root; the unipotent ones are the rest.
     """
 
-    roots: tuple
-    semisimple: tuple
-    unipotent: tuple
+    __slots__ = ("roots", "semisimple", "unipotent")
 
     @property
     def root_set(self):
@@ -278,12 +273,13 @@ def roots(f):
     return data
 
 
-@dataclass(frozen=True)
-class SymmetryClassification:
-    centrally_symmetric: bool
-    bs_symmetric: bool
-    centrally_lattice_symmetric: bool
-    fixed_space_dimension: int
+class SymmetryClassification(Record):
+    __slots__ = (
+        "centrally_symmetric",
+        "bs_symmetric",
+        "centrally_lattice_symmetric",
+        "fixed_space_dimension",
+    )
 
 
 def classify_symmetry(f):

@@ -1,8 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from toricsym import report as rp
 from toricsym.cli import main
@@ -256,3 +259,147 @@ def test_cli_analyze_non_fano_embeds_stage_errors(tmp_path, capsys):
 
 def test_np_loader_absent_is_empty():
     assert nill_paffenholz() == {}
+
+
+# The commands that read a fan file, with the integer option each takes.
+FILE_COMMANDS = {
+    "analyze": ["--k-max"],
+    "bc": ["--k"],
+    "ehrhart": [],
+    "roots": [],
+    "aut": [],
+    "alpha": [],
+    "delta": ["--k"],
+    "demazure": [],
+    "verify-chain": ["--k-budget"],
+}
+
+
+def command_argv(command, path, k):
+    return [command, path] + [x for flag in FILE_COMMANDS[command] for x in (flag, str(k))]
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.fan"
+    bad.write_bytes(b"\xff\xfe dim 2\n")
+    assert main(command_argv(command, str(bad), 1)) == 2
+    assert "line 1: not UTF-8 text (byte 0xff)" in capsys.readouterr().err
+
+
+def test_non_utf8_byte_is_located(tmp_path):
+    bad = tmp_path / "bad.fan"
+    bad.write_bytes(b"dim 2\nrays 3\n1 0\n0 1\n-1 \xc3\n")
+    with pytest.raises(ParseError) as err:
+        parse_fan_file(str(bad))
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--k-max", "-2"], ["verify-chain", "--k-budget", "-1"]],
+)
+def test_negative_dilation_counts_are_rejected(capsys, argv):
+    assert main([argv[0], path_of("dp3"), *argv[1:]]) == 3
+    assert "must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_k_max_zero_stays_valid(capsys):
+    assert main(["analyze", path_of("p2"), "--k-max", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["quantized_barycenters"] == {}
+    assert report["chain"]["consistent"] is True
+
+
+FUZZ_TOKENS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["x", "1/2", "1.5", "-", "#", "dim", "rays", "cones", "0x1", "\uff11", "10" * 12]),
+)
+
+
+SMALL_BUNDLED = [name for name in BUNDLED if load_bundled(name).dim <= 3]
+
+
+@st.composite
+def fan_texts(draw):
+    """A fan file near the grammar, then a few random edits.
+
+    The file is a bundled fan of dimension <= 3 or a drawn one: a header,
+    rays with entries mostly in -1..1 and maybe cones.  An edit inserts,
+    deletes or replaces a line, or replaces one token by a small integer,
+    which keeps most files parseable and reaches the commands themselves.
+    """
+    if draw(st.booleans()):
+        lines = bundled_path(draw(st.sampled_from(SMALL_BUNDLED))).read_text().splitlines()
+    else:
+        n = draw(st.integers(1, 3))
+        d = draw(st.integers(0, 7))
+        coordinate = st.sampled_from([-1, -1, 0, 1, 1, 2]).map(str)
+        lines = [f"dim {n}", f"rays {d}"]
+        lines += [" ".join(draw(st.lists(coordinate, min_size=n, max_size=n))) for _ in range(d)]
+        if draw(st.integers(0, 3)) == 0:
+            c = draw(st.integers(0, 4))
+            lines.append(f"cones {c}")
+            index = st.integers(-1, d).map(str)
+            lines += [" ".join(draw(st.lists(index, max_size=n + 1))) for _ in range(c)]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        i = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "token", "token"]))
+        if edit == "insert":
+            lines.insert(i, " ".join(draw(st.lists(FUZZ_TOKENS, max_size=4))))
+        elif i == len(lines):
+            continue
+        elif edit == "delete":
+            del lines[i]
+        elif edit == "replace":
+            lines[i] = " ".join(draw(st.lists(FUZZ_TOKENS, max_size=4)))
+        elif lines[i].split():
+            tokens = lines[i].split()
+            tokens[draw(st.integers(0, len(tokens) - 1))] = str(draw(st.integers(-3, 3)))
+            lines[i] = " ".join(tokens)
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(fan_texts(), st.binary(max_size=48)),
+    st.sampled_from(sorted(FILE_COMMANDS)),
+    st.integers(-2, 3),
+)
+@example(b"\xff\xfe dim 2\n", "analyze", 3)
+@example(bundled_path("dp3").read_bytes(), "analyze", -2)
+def test_fuzzed_fan_files_end_in_an_exit_code(tmp_path_factory, data, command, k):
+    # Any bytes, any command: a result or a message with exit code 2 or 3,
+    # never a traceback and never exit code 4, which means a library bug.
+    path = tmp_path_factory.getbasetemp() / "fuzz.fan"
+    path.write_bytes(data)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(command_argv(command, str(path), k))
+    assert code in (0, 2, 3)
+
+
+@st.composite
+def polytope_texts(draw):
+    """A polytope file near the grammar, with a line maybe replaced by junk."""
+    n = draw(st.integers(0, 3))
+    m = draw(st.integers(0, 6))
+    entry = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "2", "1/0", "x"])
+    lines = [f"dim {n}", f"vertices {m}"]
+    lines += [" ".join(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(m)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = " ".join(draw(st.lists(FUZZ_TOKENS, max_size=4)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(polytope_texts(), st.binary(max_size=48)))
+@example(b"\xff\xfe dim 2\n")
+def test_fuzzed_polytope_files_parse_or_raise_input_errors(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.poly"
+    path.write_bytes(data)
+    try:
+        p = parse_polytope_file(str(path))
+    except (ParseError, ValidationError):
+        return
+    assert len(p.vertices) >= p.dim + 1
