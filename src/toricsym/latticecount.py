@@ -13,6 +13,20 @@ level's bounds are floors of linear functions of x_{n-2}, and the count
 and sums are closed by the Euclid-like floor-sum recursion, in time
 logarithmic in the coefficients and at most quadratic in the rows.
 
+The x_j here are P's coordinates in the order the plan scans them, which
+`coordinate_order` picks from P's facets: the coordinates on which the
+most facet normals are nonzero come first, so a bundle's fibre
+coordinates are scanned before its base.  Counts, sums and points still
+come back in P's own coordinates.  Against P's own order, the
+k = 1..n+2 scans run 7.1x faster on futaki(1,2), 10x on (2,2), 14x on
+(1,3), 12x on (2,3), 14x on (3,3), 20x on (1,6) and 20x on (3,4); V_4
+and V_6 keep their order.  Over the 98 bundled, criterion-4 and random
+polytopes of the tests those scans fell 13-16% in total (702 -> 610 ms
+and 785 -> 662 ms in two measurements).  Trying every order of each
+polytope found 31% to save (800 -> 554 ms), but no cheap rule came
+closer: breaking this rule's ties by the coordinates' widths measured
+665 ms against its 677 (CPU, best of 3, 2-core Xeon, Python 3.11).
+
 A subtree is also scanned once per distinct state.  On entry to level j,
 the subtree's count and its sums of x_j..x_{n-1} depend on the prefix
 x_0..x_{j-1} only through the residuals of the rows at levels >= j with a
@@ -21,8 +35,9 @@ of a basis of the rows' prefix forms.  Two prefixes can reach one state
 only when that basis has fewer than j forms (rank < j).  The plan records
 once which levels meet this rank condition, and a scan memoizes them by
 the basis residuals.  Bundles and products such as futaki(3,3) have such
-levels; the bundled fans and the criterion-4 polytopes have none, so
-their scans run the plain loop.
+levels, and so has the bundled futaki_1_2 at level 2, since its scan
+order puts its base coordinate last; the other bundled fans and the
+criterion-4 polytopes have none, so their scans run the plain loop.
 
 One plan of P serves every dilation, and its interior too: lowering
 every row's right-hand side by 1 scans the lattice points strictly inside
@@ -34,9 +49,10 @@ reciprocity the interior of kP gives their values at -k, so they are
 interpolated at the nodes 1, -1, 2, -2, ... (after any k the plan already
 scanned), not at k = 1..n+2: from cold caches E needs |k| <= ceil(n/2)
 and the rational function |k| <= ceil((n+2)/2).  A scan costs about
-|k|^n, so on futaki(3,3) the Ehrhart polynomial's scans take 0.025 s
-of CPU against 0.12 s for k = 1..7, and the rational function's 0.05 s
-against 0.30 s for k = 1..9 (best of 5, 2-core Xeon, Python 3.11).
+|k|^n, so on futaki(3,3) the Ehrhart polynomial's scans take 0.003 s
+of CPU against 0.009 s for k = 1..7, and the rational function's 0.005 s
+against 0.017 s for k = 1..9 (best of 5, 2-core Xeon, Python 3.11; in
+P's own coordinate order 0.029, 0.17, 0.072 and 0.23 s).
 
 So a large dilation need not be scanned either: its E(k) and S(k) can be
 read off the rational function, which costs the scans at its nodes, P's
@@ -46,25 +62,32 @@ measured input was cheaper that way (CPU, 2-core Xeon, Python 3.11, from
 a built plan with no scans, against the scan of kP alone).  The rule was
 measured, and is still priced, with the samples k = 1..n+2; the nodes
 |k| <= ceil((n+2)/2) cost less, so it now over-prices the route, and a
-re-pricing needs the crossovers measured again:
+re-pricing needs the crossovers measured again.  Crossovers marked "old
+order" were measured with each plan scanning P's own coordinates:
 
-- P is a lattice polytope with n >= 4 whose plan memoizes no level, and
-  k^(n-2) > ROUTE_MARGIN * (sum of j^(n-2) over j = 1..n+2), with
-  ROUTE_MARGIN = 8: from k = 27 for n = 4, 19 for n = 5, 17 for n = 6
-  and 16 for n = 7 and 8.  A scan of such a plan visits about k^(n-2)
-  prefixes.  On 88 random lattice 4-polytopes the polynomials won from
-  k = 8..19, on 19 of dimension 5 and 6 from k = 8..10; futaki(1,2)
-  crosses at k = 12-13, and at k = 30 took 0.02 s against 0.14 s.  The
+- P is a lattice polytope with n >= 4 whose plan memoizes no level below
+  n-2, and k^(n-2) > ROUTE_MARGIN * (sum of j^(n-2) over j = 1..n+2),
+  with ROUTE_MARGIN = 8: from k = 27 for n = 4, 19 for n = 5, 17 for
+  n = 6 and 16 for n = 7 and 8.  A scan of such a plan enters level n-2
+  once per prefix, about k^(n-2) times, whether or not that level is
+  memoized.  On 88 random lattice 4-polytopes the polynomials won from
+  k = 8..19, on 19 of dimension 5 and 6 from k = 8..10 (old order); at
+  k = 27 they took at most 5% of the scan's time on the 30 random lattice
+  4-polytopes of the tests, in either order.  futaki(1,2), whose plan
+  memoizes level 2 alone, crosses at k = 10-11 (re-measured), and at
+  k = 30 its polynomials took 1.3 ms against 9.8 ms for the scan.  The
   largest k^(n-2) / sum at a crossover was 3.97 (a lattice 4-simplex
-  with coordinates in -1..1, k = 19), and ROUTE_MARGIN about doubles it.
-- A memoized level merges prefixes into states, so such a scan costs
-  far less than k^(n-2), and symmetric plans tend to have costly
-  volumes.  Measured crossovers: futaki(1,3) k = 11, (1,4) 12, (2,3) 14,
-  (2,2) 14-16, (1,6) 15, (3,3) 18; V_4 49; unimodular simplices of
-  dimension 4-8 51-66, cubes of dimension 4-6 past 80; V_6 past 60 (its
-  volume alone takes 0.5-1.2 s); V_8 never, since its volume takes more
-  than 80 s while k = 12 scans in 0.02 s.  Those plans are always
-  scanned.
+  with coordinates in -1..1, k = 19, old order), and ROUTE_MARGIN about
+  doubles it.
+- A memoized level below n-2 merges prefixes into states, so such a
+  scan costs far less than k^(n-2), and symmetric plans tend to have
+  costly volumes.  Measured crossovers (old order; the scan order makes
+  these scans faster still, which only moves them up): futaki(1,3)
+  k = 11, (1,4) 12, (2,3) 14, (2,2) 14-16, (1,6) 15, (3,3) 18; V_4 49;
+  unimodular simplices of dimension 4-8 51-66, cubes of dimension 4-6
+  past 80; V_6 past 60 (its volume alone takes 0.5-1.2 s); V_8 never,
+  since its volume takes more than 80 s while k = 12 scans in 0.02 s.
+  Those plans are always scanned.
 - For n = 3 the scan is linear in k: on 89 random lattice 3-polytopes,
   futaki(1,1) and fano3fold_5_2 the crossover ranged from k = 14 to
   221, so threefolds are scanned, and so are n <= 2, rational polytopes
@@ -90,10 +113,16 @@ class PlanRow(Record):
 class EnumerationPlan(Record):
     """Per-coordinate bound systems read off the projections of a polytope.
 
-    `levels[j]` bounds x_j given x_0..x_{j-1}: its rows are the facets of
-    the projection of P onto x_0..x_j with a nonzero coefficient on x_j,
-    so they hold rows of both signs and their interval is exact over every
-    real point of the projection below.  `constants` is always empty;
+    The plan scans the coordinates of P in the order `order`: level j
+    scans y_j = x_order[j], so the levels are those of the permuted
+    polytope {y : y_j = x_order[j], x in P}.  `levels[j]` bounds y_j given
+    y_0..y_{j-1}: its rows are the facets of that polytope's projection
+    onto y_0..y_j with a nonzero coefficient on y_j, so they hold rows of both
+    signs and their interval is exact over every real point of the
+    projection below.  The scans return counts, sums and points in P's
+    own coordinates.  `build_plan` takes `order` from
+    `coordinate_order`; a hand-built plan leaves it at the identity unless
+    it is given.  `constants` is always empty;
     `bench/tracer.py` still reads it.  `scans` memoizes
     (count, sums) by k for this plan, so each dilation is scanned once
     however many operations ask for it; a negative k holds the signed
@@ -104,29 +133,34 @@ class EnumerationPlan(Record):
 
     `memo_keys` is derived from `levels` when the plan is made.  For a
     level 1 <= j <= n-2 (the levels a scan enters by a call), take the
-    rows at levels >= j with a nonzero coefficient on x_0..x_{j-1}.  When
+    rows at levels >= j with a nonzero coefficient on y_0..y_{j-1}.  When
     their prefix forms have rank < j, `memo_keys[j]` holds the
     (level, row) pairs of the first basis of those forms, whose residuals
     are the state a scan memoizes level j by.  Otherwise distinct
     prefixes give distinct states, and `memo_keys[j]` is None.
 
-    A hand-built plan is checked when made: every row at level j has j+1
-    coefficients, and every level holds a row with a positive and a row
-    with a negative last coefficient, so each interval is bounded.
-    Equality, the hash and the repr read `dim`, `levels` and `constants`.
+    A hand-built plan is checked when made: `order` is a permutation of
+    0..dim-1, every row at level j has j+1 coefficients, and every level
+    holds a row with a positive and a row with a negative last
+    coefficient, so each interval is bounded.  Equality, the hash and the
+    repr read `dim`, `levels`, `constants` and `order`.
     """
 
     __slots__ = (
         "dim",
         "levels",  # levels[j]: tuple of PlanRow with len(coeffs) == j+1
         "constants",
+        "order",  # order[j]: the coordinate of P that level j scans
         "scans",
         "rational",
         "memo_keys",
     )
-    _compare = ("dim", "levels", "constants")
+    _compare = ("dim", "levels", "constants", "order")
 
-    def __init__(self, dim, levels, constants=(), scans=None):
+    def __init__(self, dim, levels, constants=(), scans=None, order=None):
+        order = tuple(range(dim)) if order is None else tuple(order)
+        if sorted(order) != list(range(dim)):
+            raise ValidationError(f"plan order {order} is not a permutation of 0..{dim - 1}")
         for j, level in enumerate(levels):
             if any(len(row.coeffs) != j + 1 for row in level):
                 raise ValidationError(f"plan level {j} has a row without {j + 1} coefficients")
@@ -145,26 +179,41 @@ class EnumerationPlan(Record):
             if len(basis) < j:
                 keys[j] = tuple(rows[i] for i in basis)
         scans = {} if scans is None else scans
-        Record.__init__(self, dim, levels, constants, scans, None, tuple(keys))
+        Record.__init__(self, dim, levels, constants, order, scans, None, tuple(keys))
+
+
+def coordinate_order(p):
+    """The order in which P's plan scans its coordinates.
+
+    Most facets first: coordinates sorted by how many of P's facet normals
+    have a nonzero entry on them, ties kept in P's order.
+    """
+    counts = [sum(1 for a, _ in p.inequalities if a[i]) for i in range(p.dim)]
+    return tuple(sorted(range(p.dim), key=lambda i: -counts[i]))
 
 
 def build_plan(p):
     """The plan of P by project-and-lift (as in Normaliz).
 
-    Level j is taken from the facets of conv{v[:j+1] : v a vertex of P}
-    and the last level from P's own inequalities; a facet with a zero
-    coefficient on x_j belongs to a level below.  The vertices are scaled
-    once to integer points D*v, whose projections' facets a.y <= c come
-    from the integer hull routine `polytope._facets`, with no Polytope
-    built.  The points go to the hull in lexicographic order, which the
-    double description's cost depends on (Fukuda and Prodon 1996): V_8's
-    7-dim projection takes about 0.03 s so, and 1.3-2.1 s in hash order.
-    On kP such a facet is the integer row (D/g)*a . x <= (c/g)*k,
-    g = gcd(c, D), and P's own facet a.x <= b is (den b)*a . x <= (num b)*k,
-    so one plan serves every dilation.
+    The plan scans P's coordinates in the order s = `coordinate_order(p)`,
+    so it is built on the points y with y_j = x_s[j] for x in P.  Level j
+    is taken from the facets of conv{(v_s[0], ..., v_s[j]) : v a vertex of
+    P} and the last level from P's own inequalities with their entries
+    permuted alike; a facet with a zero coefficient on y_j belongs to a
+    level below.  The vertices are scaled once to integer points D*v,
+    whose projections' facets a.y <= c come from the integer hull routine
+    `polytope._facets`, with no Polytope built.  The points go to the hull
+    in lexicographic order, which the double description's cost depends on
+    (Fukuda and Prodon 1996): V_8's 7-dim projection takes about 0.03 s
+    so, and 1.3-2.1 s in hash order.  On kP such a facet is the integer
+    row (D/g)*a . y <= (c/g)*k, g = gcd(c, D), and P's own facet a.x <= b
+    is (den b)*a_s . y <= (num b)*k, with a_s the permuted normal, so one
+    plan serves every dilation.
     """
     n = p.dim
+    order = coordinate_order(p)
     den, verts = _scaled(p.vertices)
+    verts = [tuple(v[i] for i in order) for v in verts]
     levels = []
     for j in range(n - 1):
         rows = []
@@ -174,11 +223,11 @@ def build_plan(p):
                 rows.append(PlanRow(coeffs=tuple(den // g * x for x in a), c0=0, ck=c // g))
         levels.append(tuple(rows))
     levels.append(tuple(
-        PlanRow(coeffs=tuple(b.denominator * x for x in a), c0=0, ck=b.numerator)
+        PlanRow(coeffs=tuple(b.denominator * a[i] for i in order), c0=0, ck=b.numerator)
         for a, b in p.inequalities
-        if a[n - 1]
+        if a[order[n - 1]]
     ))
-    return EnumerationPlan(dim=n, levels=tuple(levels))
+    return EnumerationPlan(dim=n, levels=tuple(levels), order=order)
 
 
 @lru_cache(maxsize=256)
@@ -340,6 +389,7 @@ def plan_count_and_sum(plan, k, interior=False):
     projection of the interior, so each level still holds every prefix of
     a point of int(kP), and the scan below serves both.  The count is the
     plain one, with no reciprocity sign (`_count_and_sum` applies it).
+    The sums are in P's coordinates: level j's is that of x_order[j].
 
     One depth-first pass: each call returns the point count of its
     subtree, and level j adds x_j times that count to sums[j] once per
@@ -462,32 +512,41 @@ def plan_count_and_sum(plan, k, interior=False):
 
     count = rec(0)
     sums[n - 1] //= 2
-    return count, tuple(sums)
+    by_coordinate = [0] * n
+    for i, s in zip(plan.order, sums):
+        by_coordinate[i] = s
+    return count, tuple(by_coordinate)
 
 
 def plan_points(plan, k):
-    """All lattice points of the k-th dilation, in lexicographic order."""
+    """All lattice points of the k-th dilation, in lexicographic order.
+
+    The points are in P's coordinates: the scan writes its level j's value
+    at coordinate `plan.order[j]`, then the points are sorted.
+    """
     n = plan.dim
     divisors, res, updates = _scan_setup(plan, k)
-    prefix = [0] * n
+    order = plan.order
+    point = [0] * n
 
     def rec(j):
         lo, hi = _level_bounds(divisors[j], res[j])
+        at = order[j]
         if j == n - 1:
             for x in range(lo, hi + 1):
-                prefix[j] = x
-                yield tuple(prefix)
+                point[at] = x
+                yield tuple(point)
             return
         ups = updates[j]
         for x in range(lo, hi + 1):
             for lst, r, a in ups:
                 lst[r] -= a * x
-            prefix[j] = x
+            point[at] = x
             yield from rec(j + 1)
             for lst, r, a in ups:
                 lst[r] += a * x
 
-    yield from rec(0)
+    return sorted(rec(0))
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +604,15 @@ def _from_polynomials(p, plan, k):
     """Whether kP is read off P's polynomials rather than scanned.
 
     The rule of the module docstring: P a lattice polytope with n >= 4
-    whose plan memoizes no level, and
+    whose plan memoizes no level below n-2, and
     k^(n-2) > ROUTE_MARGIN * (sum of j^(n-2) over the samples j = 1..n+2),
     which implies k > n+2.  The sum prices the samples the crossovers
     were measured with, not today's cheaper nodes |k| <= ceil((n+2)/2).
+    A memo at level n-2 is allowed: the scan still enters that level about
+    k^(n-2) times.
     """
     n = p.dim
-    if n < 4 or any(keys is not None for keys in plan.memo_keys):
+    if n < 4 or any(keys is not None for keys in plan.memo_keys[: n - 2]):
         return False
     if k ** (n - 2) <= ROUTE_MARGIN * sum(j ** (n - 2) for j in range(1, n + 3)):
         return False
@@ -583,9 +644,9 @@ def count_lattice_points(p, k=1):
     """#(kP cap M) for k >= 0 (0P is {0}).
 
     A scan of kP, or, for a lattice polytope with n >= 4 whose plan
-    memoizes no level and k past the rule (k >= 27 for n = 4, 19 for
-    n = 5, 17 for n = 6, 16 for n = 7 and 8), the value of P's Ehrhart
-    polynomial; the module docstring has the rule and the measured
+    memoizes no level below n-2 and k past the rule (k >= 27 for n = 4,
+    19 for n = 5, 17 for n = 6, 16 for n = 7 and 8), the value of P's
+    Ehrhart polynomial; the module docstring has the rule and the measured
     crossovers.
     """
     if k < 0:
@@ -597,10 +658,10 @@ def quantized_barycenter(p, k):
     """Average of the lattice points of kP, divided by k.
 
     kP's count and sums come from a scan of kP, or, for a lattice polytope
-    with n >= 4 whose plan memoizes no level and k past the rule (k >= 27
-    for n = 4, 19 for n = 5, 17 for n = 6, 16 for n = 7 and 8), from P's
-    weighted Ehrhart polynomials; the module docstring has the rule and
-    the measured crossovers.
+    with n >= 4 whose plan memoizes no level below n-2 and k past the rule
+    (k >= 27 for n = 4, 19 for n = 5, 17 for n = 6, 16 for n = 7 and 8),
+    from P's weighted Ehrhart polynomials; the module docstring has the
+    rule and the measured crossovers.
     """
     if k < 1:
         raise ValidationError("k must be a positive integer")

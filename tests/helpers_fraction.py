@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from toricsym.errors import ValidationError
-from toricsym.latticecount import EnumerationPlan, PlanRow
+from toricsym.latticecount import EnumerationPlan, PlanRow, coordinate_order
 from toricsym.linalg import det, dot, gcd_vector, integer_row, rank
 from toricsym.polytope import HPolytope, Polytope, VPolytope, extreme_rays
 
@@ -68,20 +68,26 @@ def polytope_from_vertices(points):
 
 
 def build_plan(p):
-    """The project-and-lift plan with one Fraction hull per projection."""
+    """The project-and-lift plan with one Fraction hull per projection.
+
+    It scans the coordinates in the order `coordinate_order(p)`, as the
+    integer route does, so the two plans are equal row for row.
+    """
     n = p.dim
+    order = coordinate_order(p)
     levels = []
     for j in range(n):
         if j == n - 1:
-            facets = p.inequalities
+            facets = [(tuple(a[i] for i in order), b) for a, b in p.inequalities]
         else:
-            facets = polytope_from_vertices([v[: j + 1] for v in p.vertices]).inequalities
+            projection = [tuple(v[i] for i in order[: j + 1]) for v in p.vertices]
+            facets = polytope_from_vertices(projection).inequalities
         levels.append(tuple(
             PlanRow(coeffs=tuple(b.denominator * x for x in a), c0=0, ck=b.numerator)
             for a, b in facets
             if a[j]
         ))
-    return EnumerationPlan(dim=n, levels=tuple(levels))
+    return EnumerationPlan(dim=n, levels=tuple(levels), order=order)
 
 
 def _face_children(face, incidence):

@@ -221,14 +221,16 @@ def _as_int(x):
     return int(f)
 
 
-def build_plan(dim, rows):
+def build_plan(dim, rows, order=None):
     """Fourier-Motzkin elimination over Fractions.
 
-    `rows` are (coeffs, c0, ck) triples.  Rows with the same primitive
-    normal keep only the Pareto-tightest right-hand sides, and Imbert's
-    rule drops derived rows that combine too many original ones.  Upper
-    levels may be looser than the projection; the scan's width guard
-    skips the prefixes that this lets through.
+    `rows` are (coeffs, c0, ck) triples, in the coordinates the plan scans;
+    `order` maps them to P's coordinates, as `EnumerationPlan.order` does.
+    Rows with the same primitive normal keep only the Pareto-tightest
+    right-hand sides, and Imbert's rule drops derived rows that combine
+    too many original ones.  Upper levels may be looser than the
+    projection; the scan's width guard skips the prefixes that this lets
+    through.
     """
     work = []
     for i, (coeffs, c0, ck) in enumerate(rows):
@@ -318,4 +320,5 @@ def build_plan(dim, rows):
         dim=dim,
         levels=tuple(levels),
         constants=tuple(scaled_constants),
+        order=order,
     )

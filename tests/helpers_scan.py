@@ -5,7 +5,8 @@ recursion that calls itself once per prefix of the last level, closes that
 level by an arithmetic series, and adds every prefix coordinate times the
 leaf's count to the sums.  It shares no code with the kernel beyond the
 plan it reads, so the tests compare the two on bundled, random and
-hand-built plans.
+hand-built plans.  Like the kernel, it returns the sums in P's
+coordinates: level j's sum is that of coordinate `plan.order[j]`.
 """
 
 
@@ -94,4 +95,28 @@ def plan_count_and_sum(plan, k):
         rec(1)
         for jj, r, a in ups0:
             res[jj][r] += a * x0
-    return count, tuple(sums)
+    return count, tuple(sums[plan.order.index(i)] for i in range(n))
+
+
+def plan_points(plan, k):
+    """The lattice points of the k-th dilation, in P's coordinates, in scan order."""
+    n = plan.dim
+    divisors, res, updates = _scan_setup(plan, k)
+    prefix = [0] * n
+    points = []
+
+    def rec(j):
+        lo, hi = _level_bounds(divisors[j], res[j])
+        for x in range(lo, hi + 1):
+            prefix[j] = x
+            if j == n - 1:
+                points.append(tuple(prefix[plan.order.index(i)] for i in range(n)))
+                continue
+            for jj, r, a in updates[j]:
+                res[jj][r] -= a * x
+            rec(j + 1)
+            for jj, r, a in updates[j]:
+                res[jj][r] += a * x
+
+    rec(0)
+    return points

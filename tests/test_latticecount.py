@@ -23,6 +23,7 @@ from toricsym.latticecount import (
     _interpolate,
     barycenter_rational_function,
     build_plan,
+    coordinate_order,
     count_lattice_points,
     ehrhart_polynomial,
     enumerate_lattice_points,
@@ -377,8 +378,10 @@ def test_plan_for_bounded_system_imbert_drops():
 
 
 def fourier_motzkin_plan(p):
-    """P's plan by the Fraction Fourier-Motzkin oracle."""
-    return helpers_linalg.build_plan(p.dim, [(a, 0, rhs) for a, rhs in p.inequalities])
+    """P's plan by the Fraction Fourier-Motzkin oracle, in P's scan order."""
+    order = coordinate_order(p)
+    rows = [(tuple(a[i] for i in order), 0, rhs) for a, rhs in p.inequalities]
+    return helpers_linalg.build_plan(p.dim, rows, order)
 
 
 def test_plan_matches_fourier_motzkin_oracle():

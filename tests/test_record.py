@@ -108,7 +108,7 @@ def test_plan_caches_are_left_out_of_equality():
     assert plan.memo_keys == other.memo_keys
     assert other.scans == {} and other.rational is None and other.constants == ()
     assert repr(plan) == (
-        f"EnumerationPlan(dim=2, levels={plan.levels!r}, constants=())"
+        f"EnumerationPlan(dim=2, levels={plan.levels!r}, constants=(), order=(0, 1))"
     )
     assert EnumerationPlan(dim=2, levels=plan.levels, scans={2: 1}).scans == {2: 1}
     with pytest.raises(TypeError):
