@@ -2,23 +2,29 @@
 
 A fan is given by its primitive ray generators and maximal cones (sets of
 ray indices).  When a variety is Fano its fan is the face fan of the
-convex hull of the rays, so rays alone determine everything; `Fan.from_rays`
-builds that face fan.
+convex hull Q = conv(rays), so rays alone determine everything;
+`Fan.from_rays` builds that face fan and keeps Q on the fan.  The
+anticanonical polytope P = {y : <y, v_i> >= -1} is the polar of -Q, so
+`polytope_from_fan` reads P off Q's facets: a fan given by its rays costs
+one double description, the one for Q.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from .errors import UnboundedPolytopeError, ValidationError
-from .linalg import det, dot, gcd_vector, kernel_basis, rank, vec_scale
+from .linalg import det, dot, gcd_vector, kernel_basis, rank
 from .polytope import (
     HPolytope,
+    Polytope,
+    VPolytope,
     _exact,
     extreme_rays,
+    hull_incidence,
     is_lattice_polytope,
     polytope_from_vertices,
-    vertices_from_inequalities,
 )
 from .record import Record
 
@@ -34,11 +40,20 @@ def _lattice_point(v):
 
 
 class Fan(Record):
+    """`hull` is the `Polytope` conv(rays) of a face fan, every ray one of
+    its vertices, or None; equality, the hash and the repr ignore it.
+    """
+
     __slots__ = (
         "dim",
         "rays",  # of primitive integer tuples
         "max_cones",  # of tuples of ray indices, each sorted
+        "hull",
     )
+    _compare = ("dim", "rays", "max_cones")
+
+    def __init__(self, dim, rays, max_cones, hull=None):
+        Record.__init__(self, dim, rays, max_cones, hull)
 
     @staticmethod
     def make(dim, rays, max_cones):
@@ -62,7 +77,8 @@ def face_fan_from_polytope(points):
     """The face fan of conv(points): one maximal cone per hull facet.
 
     Requires the hull to be full-dimensional with 0 in its interior and
-    every supplied point to be a vertex of the hull.
+    every supplied point to be a vertex of the hull.  The hull is kept on
+    the fan for `polytope_from_fan`.
     """
     pts = tuple(map(_lattice_point, points))
     if not pts:
@@ -71,14 +87,13 @@ def face_fan_from_polytope(points):
     hull = polytope_from_vertices(pts)
     if len(hull.vertices) != len(pts):
         raise ValidationError("a supplied point is not a vertex of the hull")
-    if not all(dot(a, (0,) * n) < rhs for a, rhs in hull.inequalities):
+    if not all(rhs > 0 for _, rhs in hull.inequalities):
         raise ValidationError("0 is not interior to the hull of the points")
-    index_of = {tuple(Fraction(x) for x in p): i for i, p in enumerate(pts)}
-    cones = []
-    for tight in hull.incidence:
-        cone = tuple(sorted(index_of[hull.vertices[i]] for i in tight))
-        cones.append(cone)
-    return Fan(dim=n, rays=pts, max_cones=tuple(sorted(cones)))
+    # Every point is a vertex and the hull lists its vertices sorted, so
+    # hull vertex j is the j-th point in sorted order.
+    point_of = sorted(range(len(pts)), key=pts.__getitem__)
+    cones = sorted(tuple(sorted(point_of[j] for j in tight)) for tight in hull.incidence)
+    return Fan(dim=n, rays=pts, max_cones=tuple(cones), hull=hull)
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +272,66 @@ def is_smooth(f):
 def polytope_from_fan(f):
     """The anticanonical polytope {y : <y, -v_i> <= 1 for all rays v_i}.
 
-    Contains 0 strictly; an unbounded system signals a non-complete fan.
+    P is the polar of -Q, Q = conv(rays), read off Q's facets: a facet
+    a.x <= c of Q gives the vertex -a/c of P, and ray v_i is tight exactly
+    at the vertices of the facets of Q that hold v_i.  Q is the hull kept
+    on a face fan (`Fan.hull`) or, for a fan with explicit cones, built
+    here as integer facets and point sets only.  The vertices are sorted
+    by the integer keys -a*(L/c), L the lcm of the c.
+
+    The result equals `vertices_from_inequalities` on the anticanonical
+    system, with the same dropped rows: a ray whose face of P is not a
+    facet, or that repeats a kept ray, is dropped.  P contains 0 strictly.
+    Rays that do not span, or a facet of Q with c <= 0 (0 not interior to
+    Q), leave P unbounded: the fan is not complete.
     """
-    h = HPolytope.make(
-        f.dim, [(vec_scale(-1, r), Fraction(1)) for r in f.rays]
+    if f.hull is not None:
+        pts = sorted(f.rays)
+        facets = [(a, c.numerator) for a, c in f.hull.inequalities]
+        tights = f.hull.incidence
+    else:
+        pts = sorted(set(f.rays))
+        try:
+            facets, tights = hull_incidence(pts, f.dim)
+        except ValidationError:  # no rays, or rays that do not span
+            facets = ()
+    if not facets or any(c <= 0 for _, c in facets):
+        raise UnboundedPolytopeError("anticanonical system is unbounded; the fan is not complete")
+
+    scale = lcm(*(c for _, c in facets))
+    keys = [tuple(-x * (scale // c) for x in a) for a, c in facets]
+    order = sorted(range(len(facets)), key=keys.__getitem__)
+    vertices = tuple(
+        tuple(Fraction(-x, facets[j][1]) for x in facets[j][0]) for j in order
     )
-    try:
-        return vertices_from_inequalities(h)
-    except UnboundedPolytopeError as exc:
-        raise UnboundedPolytopeError(
-            "anticanonical system is unbounded; the fan is not complete"
-        ) from exc
+    holding = [[] for _ in pts]
+    for vertex, j in enumerate(order):
+        for i in tights[j]:
+            holding[i].append(vertex)
+    on_point = {p: frozenset(h) for p, h in zip(pts, holding)}
+    on_ray = [on_point[r] for r in f.rays]
+
+    kept = []
+    dropped = []
+    incidence = []
+    seen = set()
+    every = frozenset(range(len(vertices)))
+    for r, tight in zip(f.rays, on_ray):
+        # Every facet is cut out by some ray, so a ray cuts out a smaller
+        # face exactly when another ray's proper face contains it.
+        row = (tuple(-x for x in r), Fraction(1))
+        if not tight or r in seen or any(tight < other < every for other in on_ray):
+            dropped.append(row)
+            continue
+        seen.add(r)
+        kept.append(row)
+        incidence.append(tight)
+    return Polytope(
+        h=HPolytope(dim=f.dim, inequalities=tuple(kept)),
+        v=VPolytope(vertices=vertices),
+        incidence=tuple(incidence),
+        dropped_inequalities=tuple(dropped),
+    )
 
 
 @lru_cache(maxsize=256)

@@ -257,11 +257,21 @@ def _facets(points, n):
     return facets
 
 
+def hull_incidence(pts, n):
+    """(facets, tights) of conv(pts) for distinct integer points in Z^n.
+
+    The facets (normal, c) are sorted (`_facets`); tights[j] is the
+    frozenset of indices of the points on facet j, vertices or not.
+    """
+    facets = sorted(_facets(pts, n))
+    return facets, [frozenset(i for i, q in enumerate(pts) if dot(a, q) == c) for a, c in facets]
+
+
 def polytope_from_vertices(points):
     """Build the paired description of conv(points).
 
     The points are scaled once by their common denominator D, and the
-    facets normal.y <= c of the integer hull (`_facets`) become
+    facets normal.y <= c of the integer hull (`hull_incidence`) become
     normal.x <= c/D.  The vertices and the right-hand sides are the only
     Fractions made.  Input points interior to the hull (or to a face) are
     discarded.
@@ -273,8 +283,7 @@ def polytope_from_vertices(points):
     n = len(pts[0])
     if any(len(q) != n for q in pts):
         raise ValidationError("points have different dimensions")
-    facets = sorted(_facets(pts, n))
-    tights = [frozenset(i for i, q in enumerate(pts) if dot(a, q) == c) for a, c in facets]
+    facets, tights = hull_incidence(pts, n)
 
     # A point is a vertex exactly when the facets through it meet in it
     # alone: a larger face holds two vertices, and every vertex is a point.

@@ -5,9 +5,17 @@ never as floats; keys are snake_case and serialized sorted, so reports
 are byte-for-byte reproducible.
 """
 
-import hashlib
 import json
 from fractions import Fraction
+
+# CPython's own SHA-256, which unlike `hashlib` does not load OpenSSL.
+try:
+    from _sha2 import sha256 as new_sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as new_sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as new_sha256
 
 from .chain import verify_implication_chain
 from .demazure import demazure_report
@@ -34,7 +42,7 @@ def rat_vec(v):
 
 
 def file_sha256(path):
-    h = hashlib.sha256()
+    h = new_sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)

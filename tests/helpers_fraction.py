@@ -6,7 +6,8 @@ integers.  Here are the routes it replaced, which carry every coordinate
 as a Fraction: the hull of a point set around the same double description
 `extreme_rays`, a plan with one full hull per projection, and a volume and
 barycenter summed as Fractions simplex by simplex over the pulling
-triangulation as it was written then.  The tests compare the
+triangulation as it was written then, and the face fan's cones read
+back through a dict keyed by Fraction vertices.  The tests compare the
 integer routes with them exactly.
 """
 
@@ -65,6 +66,19 @@ def polytope_from_vertices(points):
         v=VPolytope(vertices=vertices),
         incidence=incidence,
     )
+
+
+def face_fan_cones(points):
+    """The maximal cones of the face fan of conv(points), as ray-index tuples.
+
+    Each hull vertex goes back to its point through a dict keyed by
+    Fraction tuples; every point must be a vertex.
+    """
+    hull = polytope_from_vertices(points)
+    index_of = {tuple(Fraction(x) for x in p): i for i, p in enumerate(points)}
+    return tuple(sorted(
+        tuple(sorted(index_of[hull.vertices[i]] for i in tight)) for tight in hull.incidence
+    ))
 
 
 def build_plan(p):

@@ -364,6 +364,15 @@ def test_dim8_futaki_1_6_groups():
     assert rep.component_group_order == 1
 
 
+def test_dim8_v8_polytope_from_rays():
+    # V_8 from its 18 rays: one double description, for the hull of the
+    # rays (630 facets), and P read off it as the polar.  31-53 ms here.
+    _clear_caches()
+    with Budget("dim-8 V_8 face fan and anticanonical polytope", 0.08):
+        p = polytope_from_fan(Fan.from_rays(v_n_rays(8)))
+    assert (len(p.vertices), len(p.inequalities), p.dropped_inequalities) == (630, 18, ())
+
+
 def test_dim8_v8_symmetry():
     # V_8: 630 vertices and |Aut P| = 2 * 9!.  Its volume is not computed.
     fan = Fan.from_rays(v_n_rays(8))

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +20,16 @@ from toricsym.fileio import parse_fan_file, parse_polytope_file
 
 def path_of(name):
     return str(bundled_path(name))
+
+
+def test_file_sha256_matches_hashlib(tmp_path):
+    # The built-in SHA-256 that report.py loads instead of hashlib's OpenSSL.
+    empty = tmp_path / "empty"
+    empty.write_bytes(b"")
+    long = tmp_path / "long"
+    long.write_bytes(random.Random(3).randbytes(3 * 65536 + 17))
+    for path in [bundled_path(name) for name in BUNDLED] + [empty, long]:
+        assert rp.file_sha256(path) == hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_parse_bundled_p2():

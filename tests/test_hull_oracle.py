@@ -1,5 +1,7 @@
-"""Double description against the subset scans it replaced, and the
-integer routes against the Fraction routes they replaced.
+"""Double description against the subset scans it replaced, the integer
+routes against the Fraction routes they replaced, and the polar route of
+`polytope_from_fan` against vertex enumeration of the anticanonical
+system (`vertices_from_inequalities`), which it replaced.
 
 `helpers_hull` keeps the old n-subset and circuit scans.  Every hull,
 vertex set, cone H-description, cone intersection and strong-convexity
@@ -18,12 +20,19 @@ import pytest
 
 import helpers_fraction
 import helpers_hull as oracle
+from helpers_groups import v_n_rays
 from helpers_reflexive import random_unimodular
 from test_acceptance import Budget, _random_lattice_polytopes
 from toricsym.datasets import load_bundled
-from toricsym.errors import ToricSymError
+from toricsym.errors import ToricSymError, UnboundedPolytopeError
 from toricsym.families import futaki_rays
-from toricsym.fan import Fan, _is_strongly_convex, cone_facet_normals, polytope_from_fan
+from toricsym.fan import (
+    Fan,
+    _is_strongly_convex,
+    cone_facet_normals,
+    face_fan_from_polytope,
+    polytope_from_fan,
+)
 from toricsym.latticecount import build_plan
 from toricsym.linalg import mat_vec
 from toricsym.polytope import (
@@ -34,16 +43,17 @@ from toricsym.polytope import (
     volume_and_barycenter,
 )
 
-# The cached function recomputes on every call.
+# The cached functions recompute on every call.
 volume_and_barycenter = volume_and_barycenter.__wrapped__
+polar = polytope_from_fan.__wrapped__
 
 BUNDLED = (
     "p2", "p1xp1", "dp1", "dp2", "dp3", "fano3fold_5_2", "futaki_1_2", "weighted_112",
 )
 
 
-def anticanonical_system(rays):
-    return HPolytope.make(len(rays[0]), [(tuple(-x for x in r), 1) for r in rays])
+def anticanonical_system(n, rays):
+    return HPolytope.make(n, [(tuple(-x for x in r), 1) for r in rays])
 
 
 def outcome(fn, *args):
@@ -59,7 +69,7 @@ def assert_hull_and_anticanonical_match(rays):
     assert outcome(polytope_from_vertices, rays) == outcome(
         oracle.polytope_from_vertices, rays
     )
-    h = anticanonical_system(rays)
+    h = anticanonical_system(len(rays[0]), rays)
     assert outcome(vertices_from_inequalities, h) == outcome(
         oracle.vertices_from_inequalities, h
     )
@@ -181,3 +191,82 @@ def test_plan_and_volume_of_a_sevenfold_within_budget():
     with Budget("futaki(3,3) build_plan and volume_and_barycenter", 0.1):
         build_plan(p)
         volume_and_barycenter(p)
+
+
+def anticanonical_by_vertex_enumeration(f):
+    """P of a fan by double description of its H-description {<y, -v_i> <= 1}."""
+    try:
+        return vertices_from_inequalities(anticanonical_system(f.dim, f.rays))
+    except UnboundedPolytopeError as exc:
+        raise UnboundedPolytopeError(
+            "anticanonical system is unbounded; the fan is not complete"
+        ) from exc
+
+
+def assert_polar_matches_vertex_enumeration(f):
+    """The polar route, with the kept hull or without, equals the H-to-V route."""
+    want = outcome(anticanonical_by_vertex_enumeration, f)
+    assert outcome(polar, f) == want
+    assert outcome(polar, Fan.make(f.dim, f.rays, f.max_cones)) == want
+    return want
+
+
+POLAR_FANS = (
+    [f"bundled {name}" for name in BUNDLED]
+    + [f"futaki {n1} {n2}" for n1 in (1, 2, 3) for n2 in range(n1, 5)]
+    + [f"V {n}" for n in (4, 6, 8)]
+)
+
+
+@pytest.mark.parametrize("name", POLAR_FANS)
+def test_polar_matches_vertex_enumeration(name):
+    kind, *args = name.split()
+    if kind == "bundled":
+        f = load_bundled(args[0])
+    elif kind == "futaki":
+        f = Fan.from_rays(futaki_rays(*map(int, args)))
+    else:
+        f = Fan.from_rays(v_n_rays(int(args[0])))
+    assert f.hull is not None
+    p, dropped = assert_polar_matches_vertex_enumeration(f)
+    assert dropped == () and p.vertices == tuple(sorted(p.vertices))
+    assert f.max_cones == helpers_fraction.face_fan_cones(f.rays)
+
+
+def random_ray_set(rng):
+    """Rays in [-2, 2]^n, n = 2..4, some zero, repeated, between two others or not spanning."""
+    n = rng.randint(2, 4)
+    rays = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 2 * n + 3))]
+    if rays and rng.random() < 0.3:
+        rays.append(rng.choice(rays))
+    if len(rays) >= 2 and rng.random() < 0.3:
+        r, s = rng.sample(rays, 2)
+        if all((x + y) % 2 == 0 for x, y in zip(r, s)):
+            rays.append(tuple((x + y) // 2 for x, y in zip(r, s)))
+    if rng.random() < 0.2:
+        rays.append((0,) * n)
+    if rng.random() < 0.2:
+        rays = [r[:-1] + (0,) for r in rays]
+    return n, rays
+
+
+def test_polar_matches_vertex_enumeration_on_random_ray_sets():
+    # A fan without a kept hull (no cones here: polytope_from_fan reads only
+    # the rays) builds its hull inside polytope_from_fan; a face fan keeps it.
+    rng = random.Random(19)
+    seen = {"bounded": 0, "unbounded": 0, "dropped rows": 0}
+    for _ in range(800):
+        n, rays = random_ray_set(rng)
+        p, dropped = assert_polar_matches_vertex_enumeration(Fan.make(n, rays, ()))
+        bounded = not isinstance(p, str)
+        seen["bounded" if bounded else "unbounded"] += 1
+        seen["dropped rows"] += bounded and bool(dropped)
+        if not bounded:
+            continue
+        # The face fan of the vertices of conv(rays), which hold 0 inside.
+        points = [tuple(map(int, v)) for v in polytope_from_vertices(rays).vertices]
+        rng.shuffle(points)
+        f = face_fan_from_polytope(points)
+        assert f.max_cones == helpers_fraction.face_fan_cones(points)
+        assert_polar_matches_vertex_enumeration(f)
+    assert min(seen.values()) >= 100, seen
