@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 invariant
-violation.
+Exit codes: 0 success, 2 parse or write error, 3 validation error, 4
+invariant violation.
 """
 
 import argparse
@@ -19,6 +19,10 @@ from .symmetry import aut0_subgroup, polytope_automorphisms, roots
 from .demazure import demazure_report
 
 
+class WriteError(Exception):
+    """An output file could not be written (exit code 2)."""
+
+
 def cmd_analyze(args):
     fan = parse_fan_file(args.file)
     report = rp.analyze(
@@ -31,8 +35,11 @@ def cmd_analyze(args):
     )
     text = rp.to_json(report)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise WriteError(exc) from None
     sys.stdout.write(text)
     chain = report.get("chain", {})
     if isinstance(chain, dict) and chain.get("consistent") is False:
@@ -123,11 +130,10 @@ def cmd_verify_chain(args):
 
 def cmd_futaki(args):
     fan = generate_futaki(args.n1, args.n2)
-    write_fan_file(
-        args.out,
-        fan,
-        comment=f"blow-up family member n1={args.n1} n2={args.n2}",
-    )
+    try:
+        write_fan_file(args.out, fan, comment=f"blow-up family member n1={args.n1} n2={args.n2}")
+    except OSError as exc:
+        raise WriteError(exc) from None
     print(f"wrote {args.out} ({len(fan.rays)} rays, dimension {fan.dim})")
     return 0
 
@@ -198,6 +204,9 @@ def main(argv=None):
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except WriteError as exc:
+        print(f"write error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

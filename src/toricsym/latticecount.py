@@ -2,7 +2,9 @@
 
 The workhorse is an EnumerationPlan: per coordinate x_j, the facets of the
 projection of P onto x_0..x_j, read off once as integer rows
-A*x <= c0 + ck*k (right-hand sides linear in the dilation factor k), then
+A*x <= c0 + ck*k (right-hand sides linear in the dilation factor k) by
+Fourier-Motzkin elimination from P's own facets, each step pruned exactly
+by the vertices on each row, so the plan build runs no hull; then
 scanned depth-first with exact integer interval bounds (project-and-lift,
 as in Normaliz).  Counting and coordinate sums never visit the
 points of the last level: its interval is closed by an arithmetic series,
@@ -96,11 +98,11 @@ order" were measured with each plan scanning P's own coordinates:
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvariantViolation, NonLatticePolytopeError, ValidationError
 from .linalg import independent_rows, solve_rational
-from .polytope import _facets, _scaled, is_lattice_polytope, volume_and_barycenter
+from .polytope import is_lattice_polytope, volume_and_barycenter
 from .record import Record
 
 
@@ -196,38 +198,82 @@ def build_plan(p):
     """The plan of P by project-and-lift (as in Normaliz).
 
     The plan scans P's coordinates in the order s = `coordinate_order(p)`,
-    so it is built on the points y with y_j = x_s[j] for x in P.  Level j
-    is taken from the facets of conv{(v_s[0], ..., v_s[j]) : v a vertex of
-    P} and the last level from P's own inequalities with their entries
-    permuted alike; a facet with a zero coefficient on y_j belongs to a
-    level below.  The vertices are scaled once to integer points D*v,
-    whose projections' facets a.y <= c come from the integer hull routine
-    `polytope._facets`, with no Polytope built.  The points go to the hull
-    in lexicographic order, which the double description's cost depends on
-    (Fukuda and Prodon 1996): V_8's 7-dim projection takes about 0.03 s
-    so, and 1.3-2.1 s in hash order.  On kP such a facet is the integer
-    row (D/g)*a . y <= (c/g)*k, g = gcd(c, D), and P's own facet a.x <= b
-    is (den b)*a_s . y <= (num b)*k, with a_s the permuted normal, so one
-    plan serves every dilation.
+    so it is built on the points y with y_j = x_s[j] for x in P, scaled
+    to y = D*x by the common denominator D of P's vertices.  The last
+    level is P's own inequalities with their entries permuted alike.  The
+    levels below are read off by Fourier-Motzkin elimination (Ziegler,
+    Lectures on Polytopes, 1.2), with no hull: start from P's facets
+    a.y <= c, each with the bitmask of the vertices on it
+    (`Polytope.incidence`), and eliminate y_{n-1}, ..., y_1 in turn.
+    Eliminating y_j keeps the rows with a zero coefficient on it, truncated,
+    and adds (-q_j)*p + p_j*q for each row p with p_j > 0 and q with
+    q_j < 0.  Both multipliers are positive, so the new row is tight at
+    exactly the vertices in both masks, z = m_p & m_q.  Every facet of the
+    projection onto y_0..y_{j-1} is among these rows, and any other row
+    cuts out a face whose vertex set lies strictly inside some facet's.
+    So the rows, taken by falling popcount of z, are kept unless z lies
+    inside a kept mask, and that pruning is exact (the combinatorial test
+    of Fukuda and Prodon 1996, applied to facets).  A pair whose z holds
+    fewer than j vertices is not combined at all, since a facet of a
+    j-polytope holds at least j, and neither is one whose z is already
+    found, since rows with equal masks cut out one face.  Each new row
+    is made primitive, and level j-1 holds, sorted, the kept rows with a
+    nonzero coefficient on y_{j-1}.  On kP such a facet a.y <= c is the
+    integer row (D/g)*a . y <= (c/g)*k, g = gcd(c, D), and P's own facet
+    a.x <= b is (den b)*a_s . y <= (num b)*k, with a_s the permuted normal,
+    so one plan serves every dilation.
+
+    The levels equal those of one double description per projection of
+    the vertices, which this replaced, in 0.24 ms against 1.16 ms on
+    futaki(3,3), 1.2 against 24 ms on V_8 and 2.3 against 3.9 ms for the
+    20 plans of the rigidity benchmark (CPU, min of 100 calls, 2-core
+    Xeon, Python 3.11).  On simplicial polytopes with 400-850 facets the
+    two take about as long.
     """
     n = p.dim
     order = coordinate_order(p)
-    den, verts = _scaled(p.vertices)
-    verts = [tuple(v[i] for i in order) for v in verts]
-    levels = []
-    for j in range(n - 1):
-        rows = []
-        for a, c in sorted(_facets(sorted({v[: j + 1] for v in verts}), j + 1)):
-            if a[j]:
-                g = gcd(c, den)
-                rows.append(PlanRow(coeffs=tuple(den // g * x for x in a), c0=0, ck=c // g))
-        levels.append(tuple(rows))
-    levels.append(tuple(
+    den = lcm(*{x.denominator for v in p.vertices for x in v})
+    rows = []
+    for (a, b), tight in zip(p.inequalities, p.incidence):
+        a = tuple(a[i] for i in order)
+        g = gcd(*a)
+        rows.append((tuple(x // g for x in a), int(b * den) // g, sum(1 << v for v in tight)))
+    levels = [tuple(
         PlanRow(coeffs=tuple(b.denominator * a[i] for i in order), c0=0, ck=b.numerator)
         for a, b in p.inequalities
         if a[order[n - 1]]
-    ))
-    return EnumerationPlan(dim=n, levels=tuple(levels), order=order)
+    )]
+    for j in range(n - 1, 0, -1):
+        pos, neg, found = [], [], {}
+        for a, c, m in rows:
+            if a[j] > 0:
+                pos.append((a, c, m))
+            elif a[j] < 0:
+                neg.append((a, c, m))
+            else:
+                found[m] = (a[:j], c)
+        masks = [m for _, _, m in neg]
+        for ap, cp, mp in pos:
+            t = ap[j]
+            for i in [i for i, mq in enumerate(masks) if (mp & mq).bit_count() >= j]:
+                aq, cq, mq = neg[i]
+                z = mp & mq
+                if z in found:
+                    continue
+                s = -aq[j]
+                a = tuple(s * x + t * y for x, y in zip(ap[:j], aq[:j]))
+                g = gcd(*a)
+                found[z] = (tuple(x // g for x in a), (s * cp + t * cq) // g)
+        rows = []
+        for z in sorted(found, key=int.bit_count, reverse=True):
+            if not any(z & m == z for _, _, m in rows):
+                rows.append((*found[z], z))
+        level = []
+        for a, c in sorted((a, c) for a, c, _ in rows if a[j - 1]):
+            g = gcd(c, den)
+            level.append(PlanRow(coeffs=tuple(den // g * x for x in a), c0=0, ck=c // g))
+        levels.append(tuple(level))
+    return EnumerationPlan(dim=n, levels=tuple(reversed(levels)), order=order)
 
 
 @lru_cache(maxsize=256)

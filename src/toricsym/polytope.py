@@ -5,9 +5,9 @@ Both descriptions are always carried together: facet inequalities
 and the irredundant vertex list, linked by a facet x vertex incidence
 table.  Vertices and right-hand sides are Fractions, but only at the API
 edge: a point set is scaled once by the common denominator D of its
-coordinates (`_scaled`), and the hull, the facets of projections, the
-volume and the barycenter run on those integer points.  A Fraction is made
-only for a returned vertex, right-hand side, volume or barycenter.
+coordinates (`_scaled`), and the hull, the volume and the barycenter run
+on those integer points.  A Fraction is made only for a returned vertex,
+right-hand side, volume or barycenter.
 Coordinates must be exact: an int, a Fraction or a string that Fraction
 reads.  A float raises ValidationError, since 0.1 is not 1/10.
 """
@@ -81,9 +81,13 @@ class VPolytope(Record):
 class Polytope(Record):
     """Paired H- and V-description with facet x vertex incidence.
 
-    `incidence[i]` is the frozenset of vertex indices lying on facet i.
-    `dropped_inequalities` records redundant input rows removed during
-    vertex enumeration; equality, the hash and the repr ignore it.
+    `incidence[i]` is the frozenset of vertex indices lying on facet i:
+    exactly {j : <vertices[j], normal_i> = rhs_i}, no more and no fewer.
+    `latticecount.build_plan` relies on that, as it reads the vertices on
+    each facet off this table and never evaluates a row at a vertex; every
+    constructor here and in `fan` keeps it.  `dropped_inequalities`
+    records redundant input rows removed during vertex enumeration;
+    equality, the hash and the repr ignore it.
     """
 
     __slots__ = (
@@ -244,7 +248,7 @@ def _facets(points, n):
     (`extreme_rays`), divided by gcd(a): the normal is primitive, and c
     stays an integer since some point lies on the facet.  The cone is
     pointed exactly when the points are full-dimensional; otherwise
-    ValidationError.
+    ValidationError.  Its one caller is `hull_incidence`.
     """
     try:
         rays = extreme_rays((), [tuple(-x for x in p) + (1,) for p in points], n + 1)
@@ -261,7 +265,10 @@ def hull_incidence(pts, n):
     """(facets, tights) of conv(pts) for distinct integer points in Z^n.
 
     The facets (normal, c) are sorted (`_facets`); tights[j] is the
-    frozenset of indices of the points on facet j, vertices or not.
+    frozenset of indices of the points on facet j, vertices or not.  It
+    serves `polytope_from_vertices` and, for a fan with explicit cones,
+    `fan.polytope_from_fan`; the incidence both read off it is the one
+    `latticecount.build_plan` trusts.
     """
     facets = sorted(_facets(pts, n))
     return facets, [frozenset(i for i, q in enumerate(pts) if dot(a, q) == c) for a, c in facets]

@@ -5,6 +5,9 @@ n-subset of points, inequalities or generators is tested for a
 one-dimensional kernel and a consistent sign.  They are exponential in the
 dimension but independent of the double description method, so the tests
 compare the two on every input where the scans still finish.
+
+Beside them is the plan builder that Fourier-Motzkin elimination
+replaced: one double description per projection of P's vertices.
 """
 
 from fractions import Fraction
@@ -15,8 +18,9 @@ from helpers_fraction import affine_rank
 from toricsym.errors import UnboundedPolytopeError, ValidationError
 from toricsym import fan
 from toricsym.fan import cone_span_equations
+from toricsym.latticecount import EnumerationPlan, PlanRow, coordinate_order
 from toricsym.linalg import det, dot, kernel_basis, primitive_vector, rank, vec_scale
-from toricsym.polytope import HPolytope, Polytope, VPolytope
+from toricsym.polytope import HPolytope, Polytope, VPolytope, _facets, _scaled
 
 
 def solve_integer_cramer(a, b):
@@ -226,3 +230,31 @@ def cone_contains(rays, n, x):
     """x lies in cone(rays), by the library's facet normals of the cone."""
     eqs, ineqs = fan.cone_facet_normals(rays, n)
     return all(dot(e, x) == 0 for e in eqs) and all(dot(u, x) >= 0 for u in ineqs)
+
+
+def build_plan(p):
+    """The plan of P with one integer hull per projection of its vertices.
+
+    Level j < n-1 holds the facets a.y <= c of conv{(v_s[0], ..., v_s[j])}
+    with a[j] != 0, for the vertices scaled to integer points D*v and
+    s = `coordinate_order(p)`, hulled by `polytope._facets` in
+    lexicographic order; the last level is P's own inequalities.
+    """
+    n = p.dim
+    order = coordinate_order(p)
+    den, verts = _scaled(p.vertices)
+    verts = [tuple(v[i] for i in order) for v in verts]
+    levels = []
+    for j in range(n - 1):
+        rows = []
+        for a, c in sorted(_facets(sorted({v[: j + 1] for v in verts}), j + 1)):
+            if a[j]:
+                g = gcd(c, den)
+                rows.append(PlanRow(coeffs=tuple(den // g * x for x in a), c0=0, ck=c // g))
+        levels.append(tuple(rows))
+    levels.append(tuple(
+        PlanRow(coeffs=tuple(b.denominator * a[i] for i in order), c0=0, ck=b.numerator)
+        for a, b in p.inequalities
+        if a[order[n - 1]]
+    ))
+    return EnumerationPlan(dim=n, levels=tuple(levels), order=order)

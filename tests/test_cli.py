@@ -232,6 +232,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unwritable_output_is_a_write_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "out"
+    assert main(["futaki", "--n1", "1", "--n2", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("write error: ") and str(out) in err
+    assert main(["analyze", path_of("p2"), "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("write error: ") and str(out) in captured.err
+    assert captured.out == ""
+    # A missing input stays a parse error.
+    assert main(["analyze", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
 def test_cli_exit_code_4_on_chain_violation(monkeypatch, capsys):
     # An inconsistent chain report can only come from a bug, so fake one
     # to pin the exit-code contract.

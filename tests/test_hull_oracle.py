@@ -186,7 +186,8 @@ def test_criterion_4_polytopes_match_fraction_routes():
 
 
 def test_plan_and_volume_of_a_sevenfold_within_budget():
-    # futaki(3,3): 32 vertices in dimension 7, six projections to hull.
+    # futaki(3,3): 32 vertices and 10 facets in dimension 7, six
+    # coordinates to eliminate.
     p = polytope_from_fan(Fan.from_rays(futaki_rays(3, 3)))
     with Budget("futaki(3,3) build_plan and volume_and_barycenter", 0.1):
         build_plan(p)

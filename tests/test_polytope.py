@@ -4,11 +4,13 @@ from itertools import product
 
 import pytest
 
+from helpers_groups import v_n_rays
 from helpers_slice import intersect_with_subspace, translate
 from test_acceptance import Budget
 from toricsym.errors import UnboundedPolytopeError, ValidationError
+from toricsym.families import futaki_rays
 from toricsym.fan import Fan, is_complete, polytope_from_fan
-from toricsym.linalg import mat_vec
+from toricsym.linalg import dot, mat_vec
 from toricsym.polytope import (
     HPolytope,
     contains,
@@ -180,12 +182,45 @@ def test_roundtrip_h_to_v_to_h():
         }
 
 
-def test_incidence_marks_exactly_the_tight_vertices():
-    p = vertices_from_inequalities(P2)
+def assert_incidence_is_tight(p):
+    assert len(p.incidence) == len(p.inequalities)
     for (a, rhs), tight in zip(p.inequalities, p.incidence):
-        for i, v in enumerate(p.vertices):
-            onside = sum(x * y for x, y in zip(a, v)) == rhs
-            assert onside == (i in tight)
+        assert tight == {i for i, v in enumerate(p.vertices) if dot(a, v) == rhs}
+
+
+def test_incidence_marks_exactly_the_tight_vertices():
+    # build_plan reads the vertices on each facet off p.incidence, so every
+    # constructor must give exactly {j : a_i . v_j = b_i}.
+    cases = [vertices_from_inequalities(h) for h in (SQUARE, P2)]
+    # Non-vertex points: the cube's centre, edge midpoints and face centres.
+    cube = list(product((-1, 1), repeat=3))
+    cases.append(polytope_from_vertices(cube + [(0, 0, 0), (1, 1, 0), (0, -1, 1), (1, 0, 0)]))
+    rng = random.Random(3)
+    for n in (2, 3, 4):
+        pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(4 * n)]
+        pts += [tuple(Fraction(x, 2) for x in p) for p in pts[:n]]
+        cases.append(polytope_from_vertices(pts))
+    # Dropped rows: one outside the square, one through a vertex alone and
+    # a repeat, scaled by 2.
+    redundant = HPolytope.make(
+        2, list(SQUARE.inequalities) + [((1, 1), 5), ((1, 1), 2), ((2, 0), 2)]
+    )
+    q = vertices_from_inequalities(redundant)
+    assert len(q.dropped_inequalities) == 3
+    cases.append(q)
+    # The face fan keeps its hull; the same fan with explicit cones builds
+    # it in polytope_from_fan.  A ray inside an edge of conv(rays) is dropped.
+    for rays in (futaki_rays(1, 2), v_n_rays(4)):
+        face_fan = Fan.from_rays(rays)
+        assert face_fan.hull is not None
+        cases.append(polytope_from_fan(face_fan))
+        cases.append(polytope_from_fan(Fan.make(face_fan.dim, face_fan.rays, face_fan.max_cones)))
+    q = polytope_from_fan(Fan.make(2, [(1, 1), (-1, 1), (-1, -1), (1, -1), (1, 0)], ()))
+    assert q.dropped_inequalities == (((-1, 0), 1),)
+    cases.append(q)
+    cases += [dilate(p, k) for p in cases[-2:] + cases[:2] for k in (2, 3)]
+    for p in cases:
+        assert_incidence_is_tight(p)
 
 
 def test_slice_square_diagonal():
