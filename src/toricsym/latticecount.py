@@ -46,19 +46,22 @@ every row's right-hand side by 1 scans the lattice points strictly inside
 kP (`plan_count_and_sum(plan, k, interior=True)`).  The counts give the
 Ehrhart polynomial E, and the coordinate sums, which are polynomials S_i
 in k as well (weighted Ehrhart theory), give the barycenter rational
-function, which the plan keeps once built.  By Ehrhart-Macdonald
-reciprocity the interior of kP gives their values at -k, so they are
-interpolated at the nodes 1, -1, 2, -2, ... (after any k the plan already
-scanned), not at k = 1..n+2: from cold caches E needs |k| <= ceil(n/2)
-and the rational function |k| <= ceil((n+2)/2).  A scan costs about
-|k|^n, so on futaki(3,3) the Ehrhart polynomial's scans take 0.003 s
-of CPU against 0.009 s for k = 1..7, and the rational function's 0.005 s
-against 0.017 s for k = 1..9 (best of 5, 2-core Xeon, Python 3.11; in
-P's own coordinate order 0.029, 0.17, 0.072 and 0.23 s).
+function: one closed form, which the plan keeps once built.  Its leading
+coefficients are P's volume and the integrals of its coordinates
+(Brion-Vergne 1997), so `polytope.volume_and_barycenter` reads them off
+it.  By Ehrhart-Macdonald reciprocity the interior of kP gives the
+polynomials' values at -k, so they are interpolated at the nodes 1, -1,
+2, -2, ... (after any k the plan already scanned), not at k = 1..n+2:
+from cold caches |k| <= ceil((n+2)/2).  A scan costs about |k|^n, so on
+futaki(3,3) the closed form's scans take 0.005 s of CPU against 0.017 s
+for k = 1..9 (best of 5, 2-core Xeon, Python 3.11; in P's own
+coordinate order 0.072 and 0.23 s).
 
 So a large dilation need not be scanned either: its E(k) and S(k) can be
-read off the rational function, which costs the scans at its nodes, P's
-volume (the a_n = vol check) and a few evaluations.
+read off the rational function, which costs the scans at its nodes and a
+few evaluations.  Until the volume was read off the same closed form, it
+also cost P's triangulated volume, against which E's leading coefficient
+was checked.
 `count_lattice_points` and `quantized_barycenter` do so only where every
 measured input was cheaper that way (CPU, 2-core Xeon, Python 3.11, from
 a built plan with no scans, against the scan of kP alone).  The rule was
@@ -82,13 +85,14 @@ order" were measured with each plan scanning P's own coordinates:
   with coordinates in -1..1, k = 19, old order), and ROUTE_MARGIN about
   doubles it.
 - A memoized level below n-2 merges prefixes into states, so such a
-  scan costs far less than k^(n-2), and symmetric plans tend to have
-  costly volumes.  Measured crossovers (old order; the scan order makes
-  these scans faster still, which only moves them up): futaki(1,3)
-  k = 11, (1,4) 12, (2,3) 14, (2,2) 14-16, (1,6) 15, (3,3) 18; V_4 49;
-  unimodular simplices of dimension 4-8 51-66, cubes of dimension 4-6
-  past 80; V_6 past 60 (its volume alone takes 0.5-1.2 s); V_8 never,
-  since its volume takes more than 80 s while k = 12 scans in 0.02 s.
+  scan costs far less than k^(n-2).  Measured crossovers (old order; the
+  scan order makes these scans faster still, which only moves them up):
+  futaki(1,3) k = 11, (1,4) 12, (2,3) 14, (2,2) 14-16, (1,6) 15, (3,3)
+  18; unimodular simplices of dimension 4-8 51-66, cubes of dimension
+  4-6 past 80.  V_4 crossed at 49, V_6 past 60 (its triangulated volume
+  alone took 0.5-1.2 s) and V_8 never, since its triangulated volume took
+  more than 80 s while k = 12 scans in 0.02 s; those three were measured
+  while the route paid the triangulated volume, which it no longer does.
   Those plans are always scanned.
 - For n = 3 the scan is linear in k: on 89 random lattice 3-polytopes,
   futaki(1,1) and fano3fold_5_2 the crossover ranged from k = 14 to
@@ -101,8 +105,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import InvariantViolation, NonLatticePolytopeError, ValidationError
-from .linalg import independent_rows, solve_rational
-from .polytope import is_lattice_polytope, volume_and_barycenter
+from .linalg import independent_rows
+from .polytope import is_lattice_polytope
 from .record import Record
 
 
@@ -718,8 +722,11 @@ def quantized_barycenter(p, k):
 
 
 def _evaluate(coefficients, k):
-    """The polynomial with these coefficients, low to high, at k, exactly."""
-    acc = Fraction(0)
+    """The polynomial with these coefficients, low to high, at k, exactly.
+
+    Integer coefficients give an int, Fraction ones a Fraction.
+    """
+    acc = 0
     for c in reversed(coefficients):
         acc = acc * k + c
     return acc
@@ -738,48 +745,50 @@ class EhrhartPolynomial(Record):
         return _evaluate(self.coefficients, k)
 
 
-def _interpolate(samples):
-    """Exact polynomial through (k, value) samples, coefficients low to high."""
-    n = len(samples) - 1
-    mat = tuple(tuple(k ** j for j in range(n + 1)) for k, _ in samples)
-    sol = solve_rational(mat, tuple(v for _, v in samples))
-    if sol is None:
-        raise InvariantViolation("interpolation nodes are degenerate")
-    return tuple(sol)
+def _times_linear(poly, x):
+    """Coefficients of poly(k) * (k - x), low to high."""
+    return [a - x * b for a, b in zip([0, *poly], [*poly, 0])]
 
 
-def _ehrhart_from_counts(p, samples):
-    """The polynomial through (0, 1) and n samples (k, E(k)), k != 0.
+def _lagrange_basis(xs):
+    """(W, rows): an integer Lagrange basis on the distinct integers xs.
 
-    The forced values a0 = 1 and a_n = vol(P) are asserted.
+    rows[j] holds the coefficients, low to high, of (W / w_j) times
+    prod_{i != j} (k - x_i), with w_j = prod_{i != j} (x_j - x_i) and
+    W = lcm |w_j|.  So the polynomial through the points (x_j, y_j) is
+    sum_j y_j rows[j] / W, and integer values give integer numerators.
     """
-    poly = EhrhartPolynomial(coefficients=_interpolate([(0, 1), *samples]))
-    if poly.coefficients[0] != 1:
-        raise InvariantViolation("Ehrhart constant term is not 1")
-    vol, _ = volume_and_barycenter(p)
-    if poly.coefficients[-1] != vol:
-        raise InvariantViolation("Ehrhart leading coefficient differs from volume")
-    return poly
+    products, weights = [], []
+    for j, xj in enumerate(xs):
+        poly, w = [1], 1
+        for i, xi in enumerate(xs):
+            if i != j:
+                poly = _times_linear(poly, xi)
+                w *= xj - xi
+        products.append(poly)
+        weights.append(w)
+    den = lcm(*weights)
+    return den, [[den // w * c for c in poly] for poly, w in zip(products, weights)]
+
+
+def _numerators(rows, values):
+    """W times the coefficients of the polynomial through `values` (`_lagrange_basis`)."""
+    return [sum(y * c for y, c in zip(values, column)) for column in zip(*rows)]
 
 
 def ehrhart_polynomial(p):
-    """Interpolate #(kP cap M) from E(0) = 1 and exact values at n nodes.
+    """#(kP cap M) as a polynomial in k, for a lattice polytope.
 
-    The nodes come from `_nodes`: dilations the plan already scanned, then
-    1, -1, 2, -2, ..., where a negative k is read off a scan of the
-    interior of |k|P by reciprocity (`_count_and_sum`).  From cold caches
-    that is |k| <= ceil(n/2).  Only defined for lattice polytopes
-    (rational ones have mere quasi-polynomials).  The forced values
-    a0 = 1 and a_n = vol(P) are asserted on every call.
+    It is the Ehrhart polynomial that `barycenter_rational_function`
+    interpolates and checks with the coordinate sums, so one set of node
+    scans gives both.  Only defined for lattice polytopes (rational ones
+    have mere quasi-polynomials).
     """
     if not is_lattice_polytope(p):
         raise NonLatticePolytopeError(
             "Ehrhart polynomial requires a lattice polytope"
         )
-    plan = plan_for_polytope(p)
-    return _ehrhart_from_counts(
-        p, [(k, _count_and_sum(plan, k)[0]) for k in _nodes(plan, p.dim)]
-    )
+    return barycenter_rational_function(p).ehrhart
 
 
 class BarycenterRationalFunction(Record):
@@ -810,10 +819,16 @@ def barycenter_rational_function(p):
     theory; Brion-Vergne 1997), and Bc_{k,i} = (S_i(k)/k) / E(k) with E the
     Ehrhart polynomial.  Both are read at the first n+2 nodes of `_nodes`
     (from cold caches k = +-1, ..., +-ceil((n+2)/2); a negative k is an
-    interior scan and reciprocity).  E is interpolated from 0 and the first
-    n nodes and checked at the other two; each S_i is interpolated from 0
-    and the first n+1 nodes and checked at the last, which is not one of
-    its nodes.  The plan keeps the result, so the checks run once per plan.
+    interior scan and reciprocity).  E and every S_i are interpolated
+    through the same points, 0 and the first n+1 nodes, on one integer
+    Lagrange basis (`_lagrange_basis`), so every number is an int until
+    the one Fraction per coefficient.  E's k^(n+1) coefficient must
+    vanish, and E and each S_i must match the scan at the last node, which
+    is none of theirs.  When P is reflexive (every right-hand side is 1)
+    the interior of (m+1)P holds the lattice points of mP, so
+    E(-1-m) = (-1)^n E(m) and S_i(-1-m) = (-1)^(n+1) S_i(m) (Hibi 1992);
+    that is checked at one m past the nodes, with no scan.  The plan keeps
+    the result, so the checks run once per plan.
     """
     if not is_lattice_polytope(p):
         raise NonLatticePolytopeError(
@@ -823,19 +838,29 @@ def barycenter_rational_function(p):
     plan = plan_for_polytope(p)
     if plan.rational is not None:
         return plan.rational
-    samples = [(k, *_count_and_sum(plan, k)) for k in _nodes(plan, n + 2)]
-    e_p = _ehrhart_from_counts(p, [(k, count) for k, count, _ in samples[:n]])
-    if any(e_p(k) != count for k, count, _ in samples[n:]):
-        raise InvariantViolation("Ehrhart polynomial disagrees with the counts at two more nodes")
-    numerators = []
-    for i in range(n):
-        q = _interpolate([(0, 0)] + [(k, s[i]) for k, _, s in samples[: n + 1]])
-        numerators.append(q[1:])  # S_i(k)/k: q[0] = S_i(0) = 0
-    k, _, sums = samples[n + 1]
-    if any(k * _evaluate(q, k) != s for q, s in zip(numerators, sums)):
+    *nodes, last = _nodes(plan, n + 2)
+    counts, sums = zip(*(_count_and_sum(plan, k) for k in nodes))
+    den, rows = _lagrange_basis([0, *nodes])
+    e = _numerators(rows, [1, *counts])
+    qs = [_numerators(rows, [0, *s]) for s in zip(*sums)]
+    if e[n + 1]:
+        raise InvariantViolation("Ehrhart polynomial has a nonzero k^(n+1) coefficient")
+    count, last_sums = _count_and_sum(plan, last)
+    if _evaluate(e, last) != den * count:
+        raise InvariantViolation("Ehrhart polynomial disagrees with the count at a further node")
+    if any(_evaluate(q, last) != den * s for q, s in zip(qs, last_sums)):
         raise InvariantViolation("coordinate-sum polynomials disagree with the sums at a further node")
+    if all(rhs == 1 for _, rhs in p.inequalities):
+        m = max(abs(k) for k in (*nodes, last)) + 1
+        sign = (-1) ** n
+        if _evaluate(e, -1 - m) != sign * _evaluate(e, m) or any(
+            _evaluate(q, -1 - m) != -sign * _evaluate(q, m) for q in qs
+        ):
+            raise InvariantViolation(f"polynomials of a reflexive polytope break reciprocity at {m}")
     brf = BarycenterRationalFunction(
-        numerators=tuple(numerators), ehrhart=e_p
+        # S_i(k)/k: q[0] = S_i(0) = 0
+        numerators=tuple(tuple(Fraction(c, den) for c in q[1:]) for q in qs),
+        ehrhart=EhrhartPolynomial(coefficients=tuple(Fraction(c, den) for c in e[: n + 1])),
     )
     object.__setattr__(plan, "rational", brf)
     return brf
@@ -854,9 +879,10 @@ def rigidity_verdict(p, ks):
     """Vanishing of n+1 quantized barycenters forces all of them to vanish.
 
     Given n+1 distinct positive k with Bc_k(P) = 0, the numerators of the
-    barycenter rational function must be identically zero (a degree bound)
-    and Bc(P) = 0 follows; this is asserted.  Otherwise the nonzero
-    witnesses are returned.
+    barycenter rational function must be identically zero (a degree bound);
+    this is asserted.  Bc(P) = 0 follows, since Bc(P)_i is the k^(n+1)
+    coefficient of S_i over vol(P) (`polytope.volume_and_barycenter`).
+    Otherwise the nonzero witnesses are returned.
     """
     ks = sorted(set(int(k) for k in ks))
     if len(ks) < p.dim + 1 or any(k < 1 for k in ks):
@@ -881,13 +907,10 @@ def rigidity_verdict(p, ks):
         raise InvariantViolation(
             "n+1 vanishing quantized barycenters but nonzero numerator"
         )
-    _, bc = volume_and_barycenter(p)
-    if bc != zero:
-        raise InvariantViolation("quantized barycenters vanish but Bc(P) != 0")
     return RigidityVerdict(
         identically_zero=True,
         witnesses=(),
-        continuous_barycenter=bc,
+        continuous_barycenter=zero,
         rational_function=brf,
     )
 

@@ -5,21 +5,22 @@ Both descriptions are always carried together: facet inequalities
 and the irredundant vertex list, linked by a facet x vertex incidence
 table.  Vertices and right-hand sides are Fractions, but only at the API
 edge: a point set is scaled once by the common denominator D of its
-coordinates (`_scaled`), and the hull, the volume and the barycenter run
-on those integer points.  A Fraction is made only for a returned vertex,
-right-hand side, volume or barycenter.
+coordinates (`_scaled`), and the hull runs on those integer points.  A
+Fraction is made only for a returned vertex or right-hand side.  The
+volume and the barycenter are the leading coefficients of the weighted
+Ehrhart polynomials that `latticecount` interpolates
+(`volume_and_barycenter`).
 Coordinates must be exact: an int, a Fraction or a string that Fraction
 reads.  A float raises ValidationError, since 0.1 is not 1/10.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import lcm
 
 from .errors import UnboundedPolytopeError, ValidationError
 from .linalg import (
     adjugate,
-    det,
     dot,
     gcd_vector,
     independent_rows,
@@ -28,7 +29,6 @@ from .linalg import (
     primitive_vector,
     rank,
     vec_scale,
-    vec_sub,
 )
 from .record import Record
 
@@ -335,57 +335,24 @@ def dilate(p, k):
     )
 
 
-def _face_children(face, incidence):
-    """Facets of a face, as maximal proper intersections with polytope facets."""
-    children = {face & tight for tight in incidence} - {face, frozenset()}
-    return [c for c in children if not any(c < other for other in children)]
-
-
-def _boundary_simplices(p):
-    """Triangulate the polytope into simplices (as vertex index tuples).
-
-    Cones each recursively triangulated facet not through it to the
-    lexicographically smallest vertex of the face; vertices are already
-    sorted, so vertex 0 is the apex of every simplex.
-    """
-    memo = {}
-
-    def tri(face, d):
-        if face not in memo:
-            idx = sorted(face)
-            memo[face] = [tuple(idx)] if len(idx) == d + 1 else [
-                (idx[0],) + s
-                for child in _face_children(face, p.incidence)
-                if idx[0] not in child
-                for s in tri(child, d - 1)
-            ]
-        return memo[face]
-
-    return tri(frozenset(range(len(p.vertices))), p.dim)
-
-
 @lru_cache(maxsize=256)
 def volume_and_barycenter(p):
     """Exact Euclidean volume and barycenter of a full-dimensional polytope.
 
-    Triangulates from the lex-smallest vertex, on the vertices scaled to
-    integer points by their common denominator D.  Each simplex adds its
-    integer |det| to the weight of each of its vertices; vertex 0 is in
-    every simplex, so its weight w_0 is the total.  The volume is
-    w_0 / (n! D^n) and the barycenter sum(w_i v_i) / ((n+1) D w_0), the
-    only Fractions made.
+    Read off P's weighted Ehrhart polynomials (Brion-Vergne, "Lattice
+    points in simple polytopes", 1997): for a lattice polytope the
+    leading coefficient of E is vol(P), and that of the coordinate sum
+    S_i, at k^(n+1), is the integral of x_i over P.  So vol = lead(E) and
+    Bc_i = lead(S_i) / vol, from the closed form that
+    `latticecount.barycenter_rational_function` interpolates once per
+    plan.  A rational P is first dilated to the lattice polytope DP, with
+    D the least common denominator of its vertices: vol(P) = vol(DP)/D^n
+    and Bc(P) = Bc(DP)/D.
     """
+    from .latticecount import barycenter_rational_function  # latticecount imports this module
+
     n = p.dim
-    den, verts = _scaled(p.vertices)
-    diffs = [vec_sub(v, verts[0]) for v in verts]
-    weights = [0] * len(verts)
-    for s in _boundary_simplices(p):
-        w = abs(det([diffs[i] for i in s[1:]]))
-        for i in s:
-            weights[i] += w
-    total = weights[0]
-    if total == 0:
-        raise ValidationError("polytope is lower-dimensional")
-    return Fraction(total, factorial(n) * den**n), tuple(
-        Fraction(dot(weights, col), (n + 1) * den * total) for col in zip(*verts)
-    )
+    den = lcm(*{x.denominator for v in p.vertices for x in v})
+    brf = barycenter_rational_function(p if den == 1 else dilate(p, den))
+    vol = brf.ehrhart.coefficients[n]
+    return vol / den**n, tuple(q[n] / (vol * den) for q in brf.numerators)

@@ -1,19 +1,21 @@
 """The Fraction routes that integer scaling replaced, kept as test oracles.
 
 `toricsym.polytope` scales a point set once by the common denominator of
-its coordinates and runs the hull, the plan build and the volume on
-integers.  Here are the routes it replaced, which carry every coordinate
+its coordinates and runs the hull and the plan build on integers.  Here
+are the routes it replaced, which carry every coordinate
 as a Fraction: the hull of a point set around the same double description
-`extreme_rays`, a plan with one full hull per projection, and a volume and
+`extreme_rays`, a plan with one full hull per projection, a volume and
 barycenter summed as Fractions simplex by simplex over the pulling
-triangulation as it was written then, and the face fan's cones read
-back through a dict keyed by Fraction vertices.  The tests compare the
-integer routes with them exactly.
+triangulation of `helpers_volume` (the library reads both off the
+Ehrhart polynomials now), and the face fan's cones read back through a
+dict keyed by Fraction vertices.  The tests compare the library's
+routes with them exactly.
 """
 
 from fractions import Fraction
 from math import factorial
 
+from helpers_volume import boundary_simplices
 from toricsym.errors import ValidationError
 from toricsym.latticecount import EnumerationPlan, PlanRow, coordinate_order
 from toricsym.linalg import det, dot, gcd_vector, integer_row, rank
@@ -104,64 +106,8 @@ def build_plan(p):
     return EnumerationPlan(dim=n, levels=tuple(levels), order=order)
 
 
-def _face_children(face, incidence):
-    """Facets of a face, as maximal proper intersections with polytope facets."""
-    children = []
-    for tight in incidence:
-        c = face & tight
-        if c and c != face:
-            children.append(c)
-    maximal = []
-    for c in children:
-        if any(c < other for other in children):
-            continue
-        if c not in maximal:
-            maximal.append(c)
-    return maximal
-
-
-def _boundary_simplices(p):
-    """Triangulate the polytope into simplices (as vertex index tuples).
-
-    Cones each recursively triangulated facet to the lexicographically
-    smallest vertex; vertices are already sorted, so index 0 is the base.
-    """
-    n = p.dim
-    nverts = len(p.vertices)
-    memo = {}
-
-    def tri(face, d):
-        key = face
-        if key in memo:
-            return memo[key]
-        idx = sorted(face)
-        if len(idx) == d + 1:
-            memo[key] = [tuple(idx)]
-            return memo[key]
-        base = idx[0]
-        out = []
-        for child in _face_children(face, p.incidence):
-            if base in child:
-                continue
-            for s in tri(child, d - 1):
-                out.append((base,) + s)
-        memo[key] = out
-        return out
-
-    if nverts == n + 1:
-        return [tuple(range(nverts))]
-    base = 0
-    simplices = []
-    for tight in p.incidence:
-        if base in tight:
-            continue
-        for s in tri(tight, n - 1):
-            simplices.append((base,) + s)
-    return simplices
-
-
 def volume_and_barycenter(p):
-    """Volume and barycenter summed as Fractions over the same triangulation."""
+    """Volume and barycenter summed as Fractions over `helpers_volume`'s triangulation."""
     n = p.dim
     verts = p.vertices
     if affine_rank(verts) < n:
@@ -170,7 +116,7 @@ def volume_and_barycenter(p):
     total = Fraction(0)
     moment = [Fraction(0)] * n
 
-    for s in _boundary_simplices(p):
+    for s in boundary_simplices(p):
         base = verts[s[0]]
         mat = tuple(
             tuple(verts[i][j] - base[j] for j in range(n)) for i in s[1:]

@@ -7,9 +7,10 @@ system (`vertices_from_inequalities`), which it replaced.
 vertex set, cone H-description, cone intersection and strong-convexity
 verdict computed here must equal theirs exactly.  `helpers_fraction` keeps
 the hull, plan build, volume and barycenter that carried every coordinate
-as a Fraction; the integer-scaled routes must equal them exactly, incidence
-and dropped rows included, and must satisfy the identities of P -> -P,
-P -> P/2 and lattice translations.
+as a Fraction; the library's routes (for the volume and barycenter, the
+leading coefficients of the Ehrhart polynomials) must equal them exactly,
+incidence and dropped rows included, and must satisfy the identities of
+P -> -P, P -> P/2 and lattice translations.
 """
 
 import random

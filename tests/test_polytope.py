@@ -4,9 +4,12 @@ from itertools import product
 
 import pytest
 
+import helpers_volume
 from helpers_groups import v_n_rays
+from helpers_reflexive import random_unimodular
 from helpers_slice import intersect_with_subspace, translate
-from test_acceptance import Budget
+from test_acceptance import Budget, _random_lattice_polytopes
+from toricsym.datasets import BUNDLED, load_bundled
 from toricsym.errors import UnboundedPolytopeError, ValidationError
 from toricsym.families import futaki_rays
 from toricsym.fan import Fan, is_complete, polytope_from_fan
@@ -115,6 +118,30 @@ def test_volume_invariant_under_unimodular_and_translation():
         vol, bc = volume_and_barycenter(q)
         assert vol == vol0
         assert bc == tuple(x + dx for x, dx in zip(mat_vec(mm, bc0), t))
+
+
+def test_volume_and_barycenter_match_the_triangulation():
+    # vol(P) and Bc(P) come from the leading coefficients of E and S_i;
+    # the pulling triangulation of `helpers_volume` is the oracle.  A
+    # GL(n, Z) image AP keeps the volume and moves the barycenter to A Bc.
+    rng = random.Random(21)
+    criterion_4 = _random_lattice_polytopes(random.Random(20250801), 60)
+    cases = [polytope_from_fan(load_bundled(name)) for name in BUNDLED]
+    cases += [
+        polytope_from_fan(Fan.from_rays(futaki_rays(a, b))) for a in (1, 2, 3) for b in (1, 2, 3, 4)
+    ]
+    cases += [polytope_from_fan(Fan.from_rays(v_n_rays(n))) for n in (4, 6)]
+    cases += criterion_4
+    cases += [
+        polytope_from_vertices([[Fraction(x, 2) for x in v] for v in p.vertices])
+        for p in criterion_4
+    ]
+    for p in cases:
+        vol, bc = helpers_volume.volume_and_barycenter(p)
+        assert volume_and_barycenter(p) == (vol, bc)
+        a = random_unimodular(rng, size=8, n=p.dim)
+        image = polytope_from_vertices([mat_vec(a, v) for v in p.vertices])
+        assert volume_and_barycenter(image) == (vol, tuple(mat_vec(a, bc)))
 
 
 def test_volume_independent_of_vertex_input_order():

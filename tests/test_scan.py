@@ -35,7 +35,7 @@ from toricsym.latticecount import (
     rigidity_verdict,
 )
 from toricsym.linalg import mat_vec
-from toricsym.polytope import polytope_from_vertices, volume_and_barycenter
+from toricsym.polytope import polytope_from_vertices
 from toricsym.report import analyze
 
 
@@ -322,10 +322,11 @@ def test_rigidity_verdict_scans_each_dilation_once(monkeypatch):
 def test_analyze_scans_each_dilation_once(monkeypatch):
     calls = scanned_dilations(monkeypatch)
     analyze(load_bundled("futaki_1_2"), name="futaki_1_2")
-    # A 4-fold with Bc_1 != 0: k = 1..3 for Bc_k (k_max = 3), which the
-    # Ehrhart polynomial takes as nodes beside the interior of P, k = -1;
-    # the chain stops at its first witness.
-    assert calls == Counter([1, 2, 3, -1])
+    # A 4-fold with Bc_1 != 0.  Its volume comes first, from the closed
+    # form's n+2 = 6 nodes 1, -1, 2, -2, 3, -3; Bc_k for k = 1..3
+    # (k_max = 3) and the Ehrhart polynomial reuse them, and the chain
+    # stops at its first witness.
+    assert calls == Counter([1, 2, 3, -1, -2, -3])
 
 
 def assert_matches_direct_scan(p, k):
@@ -441,8 +442,7 @@ def test_rational_polytope_scans_large_dilations(monkeypatch):
 
 def test_memoized_plans_scan_large_dilations(monkeypatch):
     # A memoized level below n-2 makes the scan far cheaper than k^(n-2)
-    # prefixes, and V_8's volume, which the rational function checks, takes
-    # over a minute: such a plan is scanned at k alone.
+    # prefixes: such a plan is scanned at k alone.
     v8 = polytope_from_fan(Fan.from_rays(v_n_rays(8)))
     futaki_2_2 = polytope_from_fan(generate_futaki(2, 2))
     calls = scanned_dilations(monkeypatch)
@@ -483,31 +483,30 @@ def test_seven_dimensional_scan_at_scale():
 
 
 def test_ehrhart_polynomial_scans_the_nodes_nearest_zero(monkeypatch):
-    # From cold caches a 7-fold's n = 7 nodes are 1, -1, 2, -2, 3, -3, 4,
-    # each scanned once.  Measured at 0.004 s on a 2-core Xeon with Python
-    # 3.11 (0.04 s when the plan scanned P's own coordinate order), where
-    # scans of k = 1..7 take about 0.009 s.
+    # From cold caches a 7-fold's n+2 = 9 nodes are 1, -1, 2, -2, 3, -3,
+    # 4, -4, 5, each scanned once: E is interpolated with the coordinate
+    # sums.  Measured at 0.006 s on a 2-core Xeon with Python 3.11, where
+    # scans of k = 1..9 take about 0.017 s.
     p = polytope_from_fan(generate_futaki(3, 3))
-    volume_and_barycenter(p)
     calls = scanned_dilations(monkeypatch)
     with Budget("Ehrhart polynomial of futaki(3,3) from a cold plan", 0.2):
         e = ehrhart_polynomial(p)
-    assert calls == Counter([1, -1, 2, -2, 3, -3, 4])
-    assert e(5) == plan_count_and_sum(build_plan(p), 5)[0]
+    assert calls == Counter([1, -1, 2, -2, 3, -3, 4, -4, 5])
+    assert e(6) == plan_count_and_sum(build_plan(p), 6)[0]
 
 
 @pytest.mark.parametrize(
     "build, scanned, entry, message",
     [
-        (barycenter_rational_function, (2, True), 0, "counts at two more nodes"),
+        (barycenter_rational_function, (2, True), 0, "count at a further node"),
         (barycenter_rational_function, (2, True), 1, "sums at a further node"),
-        (ehrhart_polynomial, (1, False), 0, "leading coefficient"),
+        (ehrhart_polynomial, (1, False), 0, "nonzero"),
     ],
 )
 def test_a_wrong_scan_at_a_node_is_caught(monkeypatch, build, scanned, entry, message):
-    # dp1's nodes from a cold plan are 1, -1, 2, -2.  E is interpolated at
-    # 1 and -1 and checked against the volume, then at 2 and -2; each S_i
-    # is interpolated at 1, -1, 2 and checked at -2 alone.
+    # dp1's nodes from a cold plan are 1, -1, 2, -2.  E and each S_i are
+    # interpolated at 0, 1, -1, 2 and checked at -2; E's k^3 coefficient
+    # must vanish as well, which catches a wrong count at 1.
     # The plan is a fresh one, so that no cached plan keeps a wrong scan.
     p = polytope_from_fan(load_bundled("dp1"))
     plan = build_plan(p)
@@ -524,3 +523,23 @@ def test_a_wrong_scan_at_a_node_is_caught(monkeypatch, build, scanned, entry, me
     monkeypatch.setattr(latticecount, "plan_count_and_sum", off_by_one)
     with pytest.raises(InvariantViolation, match=message):
         build(p)
+
+
+@pytest.mark.parametrize("entry", [0, 1])
+def test_reciprocity_catches_a_perturbed_polynomial(monkeypatch, entry):
+    # dp1 is reflexive.  Adding k to the count, or to the first coordinate
+    # sum, at every node perturbs E or S_0 by k: still a polynomial of its
+    # degree through 0 and every node, so the node checks pass, but
+    # E(-1-m) = E(m) and S_0(-1-m) = -S_0(m) no longer hold.
+    p = polytope_from_fan(load_bundled("dp1"))
+    plan = build_plan(p)
+    monkeypatch.setattr(latticecount, "plan_for_polytope", lambda q: plan)
+    count_and_sum = latticecount._count_and_sum
+
+    def perturbed(plan, k):
+        count, sums = count_and_sum(plan, k)
+        return (count + k, sums) if entry == 0 else (count, (sums[0] + k, *sums[1:]))
+
+    monkeypatch.setattr(latticecount, "_count_and_sum", perturbed)
+    with pytest.raises(InvariantViolation, match="reciprocity"):
+        barycenter_rational_function(p)
