@@ -46,29 +46,35 @@ every row's right-hand side by 1 scans the lattice points strictly inside
 kP (`plan_count_and_sum(plan, k, interior=True)`).  The counts give the
 Ehrhart polynomial E, and the coordinate sums, which are polynomials S_i
 in k as well (weighted Ehrhart theory), give the barycenter rational
-function: one closed form, which the plan keeps once built.  Its leading
-coefficients are P's volume and the integrals of its coordinates
-(Brion-Vergne 1997), so `polytope.volume_and_barycenter` reads them off
-it.  By Ehrhart-Macdonald reciprocity the interior of kP gives the
-polynomials' values at -k, so they are interpolated at the nodes 1, -1,
-2, -2, ... (after any k the plan already scanned), not at k = 1..n+2:
-from cold caches |k| <= ceil((n+2)/2).  A scan costs about |k|^n, so on
-futaki(3,3) the closed form's scans take 0.005 s of CPU against 0.017 s
-for k = 1..9 (best of 5, 2-core Xeon, Python 3.11; in P's own
-coordinate order 0.072 and 0.23 s).
+function: one closed form, which the plan keeps once built, in integers.
+Its leading coefficients are P's volume and the integrals of its
+coordinates (Brion-Vergne 1997), so `polytope.volume_and_barycenter`
+reads them off it.  By Ehrhart-Macdonald reciprocity the interior of kP
+gives the polynomials' values at -k, so they are interpolated at nodes of
+both signs, not at k = 1..n+2, taken in order of cost (after any k the
+plan already scanned).  A scan costs about |k|^n.  When P is reflexive,
+as the anticanonical polytope of every Fano fan is, the interior of kP
+holds exactly the lattice points of (k-1)P (Hibi 1992), so node -k costs
+the scan of (k-1)P and no interior scan runs: the nodes are -1, 1, -2,
+2, ..., and from cold caches the scans are k = 1..floor(n/2)+1.
+Otherwise the nodes are 1, -1, 2, -2, ..., and |k| <= ceil((n+2)/2).  On
+futaki(3,3) the closed form's scans of k = 1..4 take 0.002-0.004 s of
+CPU, against 0.005 s for k = 1..5 and the interiors of k = 1..4, and
+0.016-0.018 s for k = 1..9 (best of 15, 2-core Xeon, Python 3.11; in P's
+own coordinate order 0.072 and 0.23 s for the last two).
 
 So a large dilation need not be scanned either: its E(k) and S(k) can be
-read off the rational function, which costs the scans at its nodes and a
-few evaluations.  Until the volume was read off the same closed form, it
+read off the closed form, which costs the scans at its nodes and a few
+integer evaluations.  Until the volume was read off the same closed form, it
 also cost P's triangulated volume, against which E's leading coefficient
 was checked.
 `count_lattice_points` and `quantized_barycenter` do so only where every
 measured input was cheaper that way (CPU, 2-core Xeon, Python 3.11, from
 a built plan with no scans, against the scan of kP alone).  The rule was
 measured, and is still priced, with the samples k = 1..n+2; the nodes
-|k| <= ceil((n+2)/2) cost less, so it now over-prices the route, and a
-re-pricing needs the crossovers measured again.  Crossovers marked "old
-order" were measured with each plan scanning P's own coordinates:
+cost less, so it now over-prices the route, and a re-pricing needs the
+crossovers measured again.  Crossovers marked "old order" were measured
+with each plan scanning P's own coordinates:
 
 - P is a lattice polytope with n >= 4 whose plan memoizes no level below
   n-2, and k^(n-2) > ROUTE_MARGIN * (sum of j^(n-2) over j = 1..n+2),
@@ -129,13 +135,16 @@ class EnumerationPlan(Record):
     own coordinates.  `build_plan` takes `order` from
     `coordinate_order`; a hand-built plan leaves it at the identity unless
     it is given.  `constants` is always empty;
-    `bench/tracer.py` still reads it.  `scans` memoizes
+    `bench/tracer.py` still reads it.  `reflexive` is set by `build_plan`
+    when P is a lattice polytope with every right-hand side 1, and is
+    False on a hand-built plan unless it is given.  `scans` memoizes
     (count, sums) by k for this plan, so each dilation is scanned once
     however many operations ask for it; a negative k holds the signed
     values E(k), S(k) that `_count_and_sum` reads off the interior of
-    |k|P.  `rational` is None until
-    `barycenter_rational_function` of the plan's lattice polytope is
-    built, and then holds it.
+    |k|P, or off (|k|-1)P when the plan is reflexive.  `rational` is None
+    until `closed_form` of the plan's lattice polytope is built, and then
+    holds it in integers; `brf` is None until `barycenter_rational_function`
+    makes its Fraction record from it.
 
     `memo_keys` is derived from `levels` when the plan is made.  For a
     level 1 <= j <= n-2 (the levels a scan enters by a call), take the
@@ -157,13 +166,15 @@ class EnumerationPlan(Record):
         "levels",  # levels[j]: tuple of PlanRow with len(coeffs) == j+1
         "constants",
         "order",  # order[j]: the coordinate of P that level j scans
+        "reflexive",
         "scans",
-        "rational",
+        "rational",  # (W, W*E, W*S_i) once built
+        "brf",
         "memo_keys",
     )
     _compare = ("dim", "levels", "constants", "order")
 
-    def __init__(self, dim, levels, constants=(), scans=None, order=None):
+    def __init__(self, dim, levels, constants=(), scans=None, order=None, reflexive=False):
         order = tuple(range(dim)) if order is None else tuple(order)
         if sorted(order) != list(range(dim)):
             raise ValidationError(f"plan order {order} is not a permutation of 0..{dim - 1}")
@@ -185,7 +196,9 @@ class EnumerationPlan(Record):
             if len(basis) < j:
                 keys[j] = tuple(rows[i] for i in basis)
         scans = {} if scans is None else scans
-        Record.__init__(self, dim, levels, constants, order, scans, None, tuple(keys))
+        Record.__init__(
+            self, dim, levels, constants, order, reflexive, scans, None, None, tuple(keys)
+        )
 
 
 def coordinate_order(p):
@@ -225,7 +238,9 @@ def build_plan(p):
     nonzero coefficient on y_{j-1}.  On kP such a facet a.y <= c is the
     integer row (D/g)*a . y <= (c/g)*k, g = gcd(c, D), and P's own facet
     a.x <= b is (den b)*a_s . y <= (num b)*k, with a_s the permuted normal,
-    so one plan serves every dilation.
+    so one plan serves every dilation.  The plan is reflexive when D = 1
+    and every b is 1: P is a lattice polytope whose facets all lie at
+    lattice distance 1 from 0.
 
     The levels equal those of one double description per projection of
     the vertices, which this replaced, in 0.24 ms against 1.16 ms on
@@ -277,7 +292,10 @@ def build_plan(p):
             g = gcd(c, den)
             level.append(PlanRow(coeffs=tuple(den // g * x for x in a), c0=0, ck=c // g))
         levels.append(tuple(level))
-    return EnumerationPlan(dim=n, levels=tuple(reversed(levels)), order=order)
+    reflexive = den == 1 and all(b == 1 for _, b in p.inequalities)
+    return EnumerationPlan(
+        dim=n, levels=tuple(reversed(levels)), order=order, reflexive=reflexive
+    )
 
 
 @lru_cache(maxsize=256)
@@ -610,37 +628,47 @@ def enumerate_lattice_points(p):
 
 
 def _count_and_sum(plan, k):
-    """(E(k), S(k)) from one scan per k this plan has not scanned.
+    """(E(k), S(k)) from at most one scan per k this plan has not scanned.
 
-    For k >= 0 that is plan_count_and_sum of kP.  A negative k scans the
-    interior of |k|P, and Ehrhart-Macdonald reciprocity (Macdonald 1971;
-    weighted, Brion-Vergne 1997) gives the polynomials' values there:
-    E(k) = (-1)^n #int(|k|P) and S_i(k) = (-1)^(n+1) (sum of x_i over
-    int(|k|P)).  Those hold for a lattice polytope, the only kind that
-    asks for a negative k.
+    For k >= 0 that is plan_count_and_sum of kP.  A negative k takes the
+    lattice points strictly inside |k|P, and Ehrhart-Macdonald reciprocity
+    (Macdonald 1971; weighted, Brion-Vergne 1997) gives the polynomials'
+    values there: E(k) = (-1)^n #int(|k|P) and S_i(k) = (-1)^(n+1) (sum of
+    x_i over int(|k|P)).  Those hold for a lattice polytope, the only kind
+    that asks for a negative k.  On a reflexive plan int(|k|P) holds the
+    lattice points of (|k|-1)P (Hibi 1992), read off this plan's own scan
+    of (|k|-1)P, and for k = -1 the point 0 alone: E(-1) = (-1)^n and
+    S(-1) = 0, with no scan.  Any other plan scans the interior of |k|P.
     """
     if k not in plan.scans:
-        if k < 0:
-            count, sums = plan_count_and_sum(plan, -k, interior=True)
+        if k >= 0:
+            plan.scans[k] = plan_count_and_sum(plan, k)
+        else:
+            if not plan.reflexive:
+                count, sums = plan_count_and_sum(plan, -k, interior=True)
+            elif k == -1:
+                count, sums = 1, (0,) * plan.dim
+            else:
+                count, sums = _count_and_sum(plan, -k - 1)
             sign = (-1) ** plan.dim
             plan.scans[k] = sign * count, tuple(-sign * s for s in sums)
-        else:
-            plan.scans[k] = plan_count_and_sum(plan, k)
     return plan.scans[k]
 
 
 def _nodes(plan, count):
-    """`count` distinct nonzero dilations at which to interpolate.
+    """`count` distinct nonzero dilations at which to interpolate, cheapest first.
 
     First the k this plan has already scanned, smallest |k| first, then
-    1, -1, 2, -2, ... .  A scan of |k|P or of its interior costs about
-    |k|^n, so the nodes nearest 0 are the cheapest: from cold caches
-    |k| <= ceil(count/2).
+    the rest in order of cost.  A scan of kP or of its interior costs
+    about k^n.  On a reflexive plan node -k costs the scan of (k-1)P
+    (`_count_and_sum`), so the order is -1, 1, -2, 2, ..., and from cold
+    caches the scans are k = 1..floor(count/2); otherwise it is 1, -1, 2,
+    -2, ..., and |k| <= ceil(count/2).
     """
     nodes = sorted((k for k in plan.scans if k), key=lambda k: (abs(k), k < 0))[:count]
     k = 1
     while len(nodes) < count:
-        for x in (k, -k):
+        for x in ((-k, k) if plan.reflexive else (k, -k)):
             if len(nodes) < count and x not in plan.scans:
                 nodes.append(x)
         k += 1
@@ -672,22 +700,23 @@ def _from_polynomials(p, plan, k):
 def _dilation_count_and_sum(p, k):
     """(#(kP cap M), coordinate sums over kP cap M), exactly.
 
-    Where `_from_polynomials` holds, these are E(k) and
-    S_i(k) = k * numerator_i(k) of P's barycenter rational function,
-    which the plan keeps once built, and each is checked to be an
-    integer.  Every other k, and every rational polytope (whose counts
-    are quasi-polynomials), is scanned once per plan.
-    `plan_count_and_sum` stays the oracle for large k.
+    Where `_from_polynomials` holds, these are E(k) and S_i(k), read off
+    the integer closed form (W, W*E, W*S_i) that the plan keeps once
+    built (`closed_form`): each is evaluated in ints and divided by W
+    once, and a nonzero remainder means a polynomial is not integral.
+    Every other k, and every rational polytope (whose counts are
+    quasi-polynomials), is scanned once per plan.  `plan_count_and_sum`
+    stays the oracle for large k.
     """
     plan = plan_for_polytope(p)
     if k in plan.scans or not _from_polynomials(p, plan, k):
         return _count_and_sum(plan, k)
-    brf = barycenter_rational_function(p)
-    count = brf.ehrhart(k)
-    sums = [k * _evaluate(coeffs, k) for coeffs in brf.numerators]
-    if any(x.denominator != 1 for x in (count, *sums)):
+    den, e, qs = closed_form(plan)
+    values = [divmod(_evaluate(c, k), den) for c in (e, *qs)]
+    if any(r for _, r in values):
         raise InvariantViolation(f"Ehrhart polynomials are not integral at k = {k}")
-    return int(count), tuple(int(s) for s in sums)
+    count, *sums = (v for v, _ in values)
+    return count, tuple(sums)
 
 
 def count_lattice_points(p, k=1):
@@ -810,6 +839,34 @@ class BarycenterRationalFunction(Record):
         return all(all(c == 0 for c in coeffs) for coeffs in self.numerators)
 
 
+def closed_form(plan):
+    """(W, W*E, W*S_i): the plan's lattice polytope's closed form, in integers.
+
+    E's coefficients and each S_i's, low to high, times the one integer
+    W; S_i has degree n+1 and E degree n.  Built once per plan, with the
+    checks `barycenter_rational_function` describes, and kept on the plan.
+    The plan must be that of a lattice polytope.
+    """
+    if plan.rational is None:
+        n = plan.dim
+        *nodes, last = _nodes(plan, n + 2)
+        counts, sums = zip(*(_count_and_sum(plan, k) for k in nodes))
+        den, rows = _lagrange_basis([0, *nodes])
+        e = _numerators(rows, [1, *counts])
+        qs = [_numerators(rows, [0, *s]) for s in zip(*sums)]
+        if e[n + 1]:
+            raise InvariantViolation("Ehrhart polynomial has a nonzero k^(n+1) coefficient")
+        count, last_sums = _count_and_sum(plan, last)
+        if _evaluate(e, last) != den * count:
+            raise InvariantViolation("Ehrhart polynomial disagrees with the count at a further node")
+        if any(_evaluate(q, last) != den * s for q, s in zip(qs, last_sums)):
+            raise InvariantViolation(
+                "coordinate-sum polynomials disagree with the sums at a further node"
+            )
+        object.__setattr__(plan, "rational", (den, tuple(e[: n + 1]), tuple(map(tuple, qs))))
+    return plan.rational
+
+
 def barycenter_rational_function(p):
     """Closed form for every quantized barycenter at once.
 
@@ -818,52 +875,39 @@ def barycenter_rational_function(p):
     is a polynomial of degree at most n+1 with S_i(0) = 0 (weighted Ehrhart
     theory; Brion-Vergne 1997), and Bc_{k,i} = (S_i(k)/k) / E(k) with E the
     Ehrhart polynomial.  Both are read at the first n+2 nodes of `_nodes`
-    (from cold caches k = +-1, ..., +-ceil((n+2)/2); a negative k is an
-    interior scan and reciprocity).  E and every S_i are interpolated
-    through the same points, 0 and the first n+1 nodes, on one integer
-    Lagrange basis (`_lagrange_basis`), so every number is an int until
-    the one Fraction per coefficient.  E's k^(n+1) coefficient must
-    vanish, and E and each S_i must match the scan at the last node, which
-    is none of theirs.  When P is reflexive (every right-hand side is 1)
-    the interior of (m+1)P holds the lattice points of mP, so
-    E(-1-m) = (-1)^n E(m) and S_i(-1-m) = (-1)^(n+1) S_i(m) (Hibi 1992);
-    that is checked at one m past the nodes, with no scan.  The plan keeps
-    the result, so the checks run once per plan.
+    (a negative k by reciprocity, `_count_and_sum`).  E and every S_i are
+    interpolated through the same points, 0 and the first n+1 nodes, on
+    one integer Lagrange basis (`_lagrange_basis`), and the plan keeps
+    the result in integers (`closed_form`), from which this makes one
+    Fraction record per plan.  E's k^(n+1) coefficient must vanish, and E
+    and each S_i must match the scan at the last node, which is none of
+    theirs.
+
+    When P is reflexive, node -1-m takes the value at m with the sign of
+    reciprocity, so E(-1-m) = (-1)^n E(m) and S_i(-1-m) = (-1)^(n+1)
+    S_i(m) (Hibi 1992) hold by construction, with no check.  Let F be E or
+    S_i, with sign s = (-1)^n or (-1)^(n+1), and R(m) = F(-1-m) - s*F(m):
+    - R has degree at most n+1, as F has.
+    - R vanishes at m and at -1-m whenever both are among 0 and the nodes
+      (F(-1) = s*F(0), for E(0) = 1 and S_i(0) = 0).
+    - From cold caches the points 0, -1, 1, -2, 2, ... are n+3, at most
+      one of them without its mirror, so once the last node matches R has
+      at least n+2 zeros, more than its degree, and R = 0.
     """
     if not is_lattice_polytope(p):
         raise NonLatticePolytopeError(
             "barycenter rational function requires a lattice polytope"
         )
-    n = p.dim
     plan = plan_for_polytope(p)
-    if plan.rational is not None:
-        return plan.rational
-    *nodes, last = _nodes(plan, n + 2)
-    counts, sums = zip(*(_count_and_sum(plan, k) for k in nodes))
-    den, rows = _lagrange_basis([0, *nodes])
-    e = _numerators(rows, [1, *counts])
-    qs = [_numerators(rows, [0, *s]) for s in zip(*sums)]
-    if e[n + 1]:
-        raise InvariantViolation("Ehrhart polynomial has a nonzero k^(n+1) coefficient")
-    count, last_sums = _count_and_sum(plan, last)
-    if _evaluate(e, last) != den * count:
-        raise InvariantViolation("Ehrhart polynomial disagrees with the count at a further node")
-    if any(_evaluate(q, last) != den * s for q, s in zip(qs, last_sums)):
-        raise InvariantViolation("coordinate-sum polynomials disagree with the sums at a further node")
-    if all(rhs == 1 for _, rhs in p.inequalities):
-        m = max(abs(k) for k in (*nodes, last)) + 1
-        sign = (-1) ** n
-        if _evaluate(e, -1 - m) != sign * _evaluate(e, m) or any(
-            _evaluate(q, -1 - m) != -sign * _evaluate(q, m) for q in qs
-        ):
-            raise InvariantViolation(f"polynomials of a reflexive polytope break reciprocity at {m}")
-    brf = BarycenterRationalFunction(
-        # S_i(k)/k: q[0] = S_i(0) = 0
-        numerators=tuple(tuple(Fraction(c, den) for c in q[1:]) for q in qs),
-        ehrhart=EhrhartPolynomial(coefficients=tuple(Fraction(c, den) for c in e[: n + 1])),
-    )
-    object.__setattr__(plan, "rational", brf)
-    return brf
+    if plan.brf is None:
+        den, e, qs = closed_form(plan)
+        brf = BarycenterRationalFunction(
+            # S_i(k)/k: q[0] = S_i(0) = 0
+            numerators=tuple(tuple(Fraction(c, den) for c in q[1:]) for q in qs),
+            ehrhart=EhrhartPolynomial(coefficients=tuple(Fraction(c, den) for c in e)),
+        )
+        object.__setattr__(plan, "brf", brf)
+    return plan.brf
 
 
 class RigidityVerdict(Record):

@@ -87,7 +87,8 @@ class Polytope(Record):
     each facet off this table and never evaluates a row at a vertex; every
     constructor here and in `fan` keeps it.  `dropped_inequalities`
     records redundant input rows removed during vertex enumeration;
-    equality, the hash and the repr ignore it.
+    equality, the hash and the repr ignore it.  The hash reads `h` alone:
+    equal polytopes have equal `h`, and `h` holds no vertex Fraction.
     """
 
     __slots__ = (
@@ -97,6 +98,7 @@ class Polytope(Record):
         "dropped_inequalities",
     )
     _compare = ("h", "v", "incidence")
+    _hashed = ("h",)
 
     def __init__(self, h, v, incidence, dropped_inequalities=()):
         Record.__init__(self, h, v, incidence, dropped_inequalities)
@@ -343,16 +345,16 @@ def volume_and_barycenter(p):
     points in simple polytopes", 1997): for a lattice polytope the
     leading coefficient of E is vol(P), and that of the coordinate sum
     S_i, at k^(n+1), is the integral of x_i over P.  So vol = lead(E) and
-    Bc_i = lead(S_i) / vol, from the closed form that
-    `latticecount.barycenter_rational_function` interpolates once per
-    plan.  A rational P is first dilated to the lattice polytope DP, with
-    D the least common denominator of its vertices: vol(P) = vol(DP)/D^n
-    and Bc(P) = Bc(DP)/D.
+    Bc_i = lead(S_i) / vol, read off the integers (W, W*E, W*S_i) of the
+    closed form that `latticecount.closed_form` interpolates once per
+    plan: vol = lead(W*E) / W and Bc_i = lead(W*S_i) / lead(W*E).  A
+    rational P is first dilated to the lattice polytope DP, with D the
+    least common denominator of its vertices: vol(P) = vol(DP)/D^n and
+    Bc(P) = Bc(DP)/D.
     """
-    from .latticecount import barycenter_rational_function  # latticecount imports this module
+    from .latticecount import closed_form, plan_for_polytope  # latticecount imports this module
 
     n = p.dim
     den = lcm(*{x.denominator for v in p.vertices for x in v})
-    brf = barycenter_rational_function(p if den == 1 else dilate(p, den))
-    vol = brf.ehrhart.coefficients[n]
-    return vol / den**n, tuple(q[n] / (vol * den) for q in brf.numerators)
+    w, e, qs = closed_form(plan_for_polytope(p if den == 1 else dilate(p, den)))
+    return Fraction(e[n], w * den**n), tuple(Fraction(q[n + 1], e[n] * den) for q in qs)

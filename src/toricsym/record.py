@@ -5,7 +5,8 @@ gets what `@dataclass(frozen=True)` gave it: positional and keyword
 construction with `TypeError` on a missing or unexpected argument, value
 equality, a hash, a `Name(field=value, ...)` repr and `AttributeError`
 on assignment.  A class-level `_compare` names the fields that equality,
-the hash and the repr read, when that is not all of them; a class with
+the hash and the repr read, when that is not all of them, and `_hashed`
+the fields the hash reads, when that is fewer still; a class with
 defaults or derived fields writes its own `__init__` and ends it with
 `Record.__init__(self, *values)`, one value per slot.
 
@@ -37,6 +38,7 @@ class Record:
         cls._fields = tuple(cls.__slots__)
         cls._compare = tuple(cls.__dict__.get("_compare", cls._fields))
         cls._key = attrgetter(*cls._compare)
+        cls._hash_key = attrgetter(*cls.__dict__.get("_hashed", cls._compare))
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -67,7 +69,7 @@ class Record:
         try:
             return self._hash
         except AttributeError:
-            h = hash(self._key(self))
+            h = hash(self._hash_key(self))
             _set(self, "_hash", h)
             return h
 

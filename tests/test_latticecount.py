@@ -334,9 +334,10 @@ def k_scan_route_cases(family):
 
 @pytest.mark.parametrize("family", ["bundled", "criterion-4", "futaki and V_n"])
 def test_polynomials_match_the_k_scan_route(family):
-    # The nodes +-1, +-2, ... with interior scans give the polynomials that
-    # scans of kP at k = 1..n+2 give, from cold plans and with the futaki
-    # bundles and V_n on memoized plans.
+    # The nodes +-1, +-2, ..., read off interior scans or, for a reflexive
+    # P, off the scans of (k-1)P, give the polynomials that scans of kP at
+    # k = 1..n+2 give, from cold plans and with the futaki bundles and V_n
+    # on memoized plans.
     plan_for_polytope.cache_clear()
     for p in k_scan_route_cases(family):
         e, numerators = helpers_ehrhart.polynomials(p)

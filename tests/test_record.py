@@ -13,7 +13,7 @@ import toricsym
 from toricsym.datasets import load_bundled
 from toricsym.fan import Fan, polytope_from_fan
 from toricsym.latticecount import EnumerationPlan, build_plan, plan_for_polytope
-from toricsym.polytope import Polytope
+from toricsym.polytope import Polytope, polytope_from_vertices, vertices_from_inequalities
 from toricsym.record import Record
 
 RECORDS = {cls.__name__: cls for cls in Record.__subclasses__()}
@@ -153,6 +153,20 @@ def test_plan_cache_hits_on_an_equal_polytope():
     hits = plan_for_polytope.cache_info().hits
     assert plan_for_polytope(q) is plan
     assert plan_for_polytope.cache_info().hits == hits + 1
+
+
+def test_three_constructors_give_one_plan_cache_entry():
+    # The hash reads the H-description alone, so no vertex Fraction is
+    # hashed; equality still compares h, v and the incidence.
+    p = polytope_from_vertices(polytope_from_fan(load_bundled("fano3fold_5_2")).vertices)
+    fan = Fan.from_rays([tuple(-x for x in a) for a, _ in p.inequalities])
+    built = [p, polytope_from_fan(fan), vertices_from_inequalities(p.h)]
+    assert len({id(q) for q in built}) == 3
+    assert all(q == p and hash(q) == hash(p) == hash(p.h) for q in built)
+    plan_for_polytope.cache_clear()
+    assert len({id(plan_for_polytope(q)) for q in built}) == 1
+    info = plan_for_polytope.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_import_leaves_out_dataclasses_and_inspect():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import helpers_scan
 from helpers_groups import v_n_rays
-from helpers_reflexive import random_unimodular
+from helpers_reflexive import random_unimodular, reflexive_polygon_classes
 from test_acceptance import Budget, _random_lattice_polytopes
 from test_latticecount import IMBERT_SIMPLEX
 from toricsym import latticecount
@@ -322,11 +322,57 @@ def test_rigidity_verdict_scans_each_dilation_once(monkeypatch):
 def test_analyze_scans_each_dilation_once(monkeypatch):
     calls = scanned_dilations(monkeypatch)
     analyze(load_bundled("futaki_1_2"), name="futaki_1_2")
-    # A 4-fold with Bc_1 != 0.  Its volume comes first, from the closed
-    # form's n+2 = 6 nodes 1, -1, 2, -2, 3, -3; Bc_k for k = 1..3
+    # A reflexive 4-fold with Bc_1 != 0.  Its volume comes first, from the
+    # closed form's n+2 = 6 nodes -1, 1, -2, 2, -3, 3, where node -k is
+    # read off the scan of (k-1)P and -1 off 0P = {0}; Bc_k for k = 1..3
     # (k_max = 3) and the Ehrhart polynomial reuse them, and the chain
-    # stops at its first witness.
-    assert calls == Counter([1, 2, 3, -1, -2, -3])
+    # stops at its first witness.  No interior is scanned.
+    assert calls == Counter([1, 2, 3])
+
+
+def reflexive_test_polytopes():
+    """The bundled fans' P, futaki (1,1) to (3,4), V_4, V_6 and the
+    reflexive polygons, then one unimodular image of each."""
+    fans = [load_bundled(name) for name in BUNDLED]
+    fans += [generate_futaki(a, b) for a in (1, 2, 3) for b in (1, 2, 3, 4)]
+    fans += [Fan.from_rays(v_n_rays(n)) for n in (4, 6)]
+    fans += reflexive_polygon_classes()
+    polytopes = [polytope_from_fan(f) for f in fans]
+    rng = random.Random(22)
+    return polytopes + [
+        polytope_from_vertices([mat_vec(m, v) for v in p.vertices])
+        for p in polytopes
+        for m in [random_unimodular(rng, size=p.dim, n=p.dim)]
+    ]
+
+
+def test_interior_route_is_the_oracle_for_reflexive_polytopes(monkeypatch):
+    # int(kP) holds the lattice points of (k-1)P (Hibi 1992), which the
+    # closed form of a reflexive plan reads off its own scans: the interior
+    # scan is the oracle, for k = 1..n+2 up to n = 5 and above that for
+    # k = 1..floor(n/2)+1, the closed form's negative nodes, since an image
+    # that memoizes nothing costs about k^n.  The closed form is the same
+    # with the flag cleared, from interior scans.
+    for p in reflexive_test_polytopes():
+        n = p.dim
+        plan = build_plan(p)
+        assert plan.reflexive
+        assert plan_count_and_sum(plan, 0) == (1, (0,) * n)
+        for k in range(1, (n + 2 if n <= 5 else n // 2 + 1) + 1):
+            assert plan_count_and_sum(plan, k, interior=True) == plan_count_and_sum(plan, k - 1)
+        monkeypatch.setattr(latticecount, "plan_for_polytope", lambda q: plan)
+        brf = barycenter_rational_function(p)
+        # The cleared plan shares the scans of kP, k >= 0, and scans the
+        # interiors itself.
+        cleared = EnumerationPlan(
+            n, plan.levels, order=plan.order, scans={k: v for k, v in plan.scans.items() if k >= 0}
+        )
+        assert not cleared.reflexive
+        monkeypatch.setattr(latticecount, "plan_for_polytope", lambda q: cleared)
+        assert barycenter_rational_function(p) == brf
+    assert not any(
+        build_plan(p).reflexive for p in _random_lattice_polytopes(random.Random(20250801), 200)
+    )
 
 
 def assert_matches_direct_scan(p, k):
@@ -345,9 +391,9 @@ def test_large_dilations_come_from_the_polynomials(monkeypatch):
     quantized_barycenter(p, 26)
     assert calls == Counter({26: 1})
     quantized_barycenter(p, 30)
-    # The n+2 = 6 nodes: 26, which the plan holds, then 1, -1, 2, -2, 3,
-    # where -k is a scan of the interior of kP.
-    nodes = Counter([26, 1, -1, 2, -2, 3])
+    # The n+2 = 6 nodes: 26, which the plan holds, then -1, 1, -2, 2, -3.
+    # P is reflexive, so node -k is read off the scan of (k-1)P.
+    nodes = Counter([26, 1, 2])
     assert calls == nodes
     quantized_barycenter(p, 60)
     count_lattice_points(p, 45)
@@ -459,8 +505,8 @@ def test_memoized_plans_scan_large_dilations(monkeypatch):
     assert quantized_barycenter(futaki_2_2, 16) == bc
     quantized_barycenter(futaki_2_2, 20)
     # The rational function's n+2 = 7 nodes: 16, which the plan holds,
-    # then 1, -1, 2, -2, 3, -3.
-    assert calls == Counter([12, 16, 16, 20, 1, -1, 2, -2, 3, -3])
+    # then -1, 1, -2, 2, -3, 3, of which node -k is read off (k-1)P.
+    assert calls == Counter([12, 16, 16, 20, 1, 2, 3])
 
 
 def test_v8_plan_from_a_cold_cache():
@@ -483,32 +529,27 @@ def test_seven_dimensional_scan_at_scale():
 
 
 def test_ehrhart_polynomial_scans_the_nodes_nearest_zero(monkeypatch):
-    # From cold caches a 7-fold's n+2 = 9 nodes are 1, -1, 2, -2, 3, -3,
-    # 4, -4, 5, each scanned once: E is interpolated with the coordinate
-    # sums.  Measured at 0.006 s on a 2-core Xeon with Python 3.11, where
-    # scans of k = 1..9 take about 0.017 s.
+    # From cold caches a reflexive 7-fold's n+2 = 9 nodes are -1, 1, -2,
+    # 2, -3, 3, -4, 4, -5, where node -k is read off the scan of (k-1)P:
+    # k = 1..4 are each scanned once, and E is interpolated with the
+    # coordinate sums.  Measured at 0.002-0.004 s on a 2-core Xeon with
+    # Python 3.11, where scans of k = 1..9 take about 0.017 s.
     p = polytope_from_fan(generate_futaki(3, 3))
     calls = scanned_dilations(monkeypatch)
     with Budget("Ehrhart polynomial of futaki(3,3) from a cold plan", 0.2):
         e = ehrhart_polynomial(p)
-    assert calls == Counter([1, -1, 2, -2, 3, -3, 4, -4, 5])
+    assert calls == Counter([1, 2, 3, 4])
     assert e(6) == plan_count_and_sum(build_plan(p), 6)[0]
 
 
-@pytest.mark.parametrize(
-    "build, scanned, entry, message",
-    [
-        (barycenter_rational_function, (2, True), 0, "count at a further node"),
-        (barycenter_rational_function, (2, True), 1, "sums at a further node"),
-        (ehrhart_polynomial, (1, False), 0, "nonzero"),
-    ],
-)
-def test_a_wrong_scan_at_a_node_is_caught(monkeypatch, build, scanned, entry, message):
-    # dp1's nodes from a cold plan are 1, -1, 2, -2.  E and each S_i are
-    # interpolated at 0, 1, -1, 2 and checked at -2; E's k^3 coefficient
-    # must vanish as well, which catches a wrong count at 1.
-    # The plan is a fresh one, so that no cached plan keeps a wrong scan.
-    p = polytope_from_fan(load_bundled("dp1"))
+# An interior scan runs only on a plan that is not reflexive.
+NOT_REFLEXIVE_TRIANGLE = ((0, 0), (2, 0), (0, 3))
+
+
+def break_one_scan(monkeypatch, p, scanned, entry):
+    """Make the scan `scanned` = (k, interior) of a fresh plan of `p` off by
+    one in its count (`entry` 0) or its first coordinate sum (`entry` 1).
+    The plan is a fresh one, so that no cached plan keeps a wrong scan."""
     plan = build_plan(p)
     monkeypatch.setattr(latticecount, "plan_for_polytope", lambda q: plan)
     scan = latticecount.plan_count_and_sum
@@ -521,25 +562,41 @@ def test_a_wrong_scan_at_a_node_is_caught(monkeypatch, build, scanned, entry, me
         return result
 
     monkeypatch.setattr(latticecount, "plan_count_and_sum", off_by_one)
+    return plan
+
+
+@pytest.mark.parametrize(
+    "build, scanned, entry, message",
+    [
+        (barycenter_rational_function, (2, True), 0, "count at a further node"),
+        (barycenter_rational_function, (2, True), 1, "sums at a further node"),
+        (ehrhart_polynomial, (1, False), 0, "nonzero"),
+    ],
+)
+def test_a_wrong_scan_at_a_node_is_caught(monkeypatch, build, scanned, entry, message):
+    # A triangle that is not reflexive has the nodes 1, -1, 2, -2 from a
+    # cold plan: E and each S_i are interpolated at 0, 1, -1, 2 and checked
+    # at -2, the interior of 2P.  E's k^3 coefficient must vanish as well,
+    # which catches a wrong count at 1.
+    p = polytope_from_vertices(NOT_REFLEXIVE_TRIANGLE)
+    assert not break_one_scan(monkeypatch, p, scanned, entry).reflexive
     with pytest.raises(InvariantViolation, match=message):
         build(p)
 
 
-@pytest.mark.parametrize("entry", [0, 1])
-def test_reciprocity_catches_a_perturbed_polynomial(monkeypatch, entry):
-    # dp1 is reflexive.  Adding k to the count, or to the first coordinate
-    # sum, at every node perturbs E or S_0 by k: still a polynomial of its
-    # degree through 0 and every node, so the node checks pass, but
-    # E(-1-m) = E(m) and S_0(-1-m) = -S_0(m) no longer hold.
+@pytest.mark.parametrize(
+    "build, entry, message",
+    [
+        (ehrhart_polynomial, 0, "count at a further node"),
+        (barycenter_rational_function, 1, "sums at a further node"),
+    ],
+)
+def test_a_wrong_scan_of_a_reflexive_polytope_is_caught(monkeypatch, build, entry, message):
+    # dp1 is reflexive, and its nodes are -1, 1, -2, 2: the scan of P gives
+    # nodes 1 and -2, so a wrong count or sum there reaches the
+    # interpolation twice and is caught at 2.  E's k^3 coefficient vanishes
+    # by construction (the mirrored nodes), so that check does not see it.
     p = polytope_from_fan(load_bundled("dp1"))
-    plan = build_plan(p)
-    monkeypatch.setattr(latticecount, "plan_for_polytope", lambda q: plan)
-    count_and_sum = latticecount._count_and_sum
-
-    def perturbed(plan, k):
-        count, sums = count_and_sum(plan, k)
-        return (count + k, sums) if entry == 0 else (count, (sums[0] + k, *sums[1:]))
-
-    monkeypatch.setattr(latticecount, "_count_and_sum", perturbed)
-    with pytest.raises(InvariantViolation, match="reciprocity"):
-        barycenter_rational_function(p)
+    assert break_one_scan(monkeypatch, p, (1, False), entry).reflexive
+    with pytest.raises(InvariantViolation, match=message):
+        build(p)
