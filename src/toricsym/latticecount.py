@@ -36,10 +36,17 @@ nonzero coefficient on that prefix, and those are fixed by the residuals
 of a basis of the rows' prefix forms.  Two prefixes can reach one state
 only when that basis has fewer than j forms (rank < j).  The plan records
 once which levels meet this rank condition, and a scan memoizes them by
-the basis residuals.  Bundles and products such as futaki(3,3) have such
-levels, and so has the bundled futaki_1_2 at level 2, since its scan
-order puts its base coordinate last; the other bundled fans and the
-criterion-4 polytopes have none, so their scans run the plain loop.
+the basis residuals: a bare int where the basis is one row, as at every
+memoized level of futaki(a,b) and V_n, and a tuple otherwise (two rows
+at level 3 of p2 x fano3fold_5_2, none at level 2 of a product of
+surfaces).  The loop at level j-1 reads the state of level j and looks
+it up itself, and enters level j by a call only on a miss; a state keeps
+the subtree's count and what it added to the sums of x_j..x_{n-1} as one
+tuple.  On futaki(3,3) at k = 3, 399 of the 454 lookups are hits.
+Bundles and products such as futaki(3,3) have such levels, and so has
+the bundled futaki_1_2 at level 2, since its scan order puts its base
+coordinate last; the other bundled fans and the criterion-4 polytopes
+have none, so their scans run the plain loop.
 
 One plan of P serves every dilation, and its interior too: lowering
 every row's right-hand side by 1 scans the lattice points strictly inside
@@ -52,7 +59,8 @@ coordinates (Brion-Vergne 1997), so `polytope.volume_and_barycenter`
 reads them off it.  By Ehrhart-Macdonald reciprocity the interior of kP
 gives the polynomials' values at -k, so they are interpolated at nodes of
 both signs, not at k = 1..n+2, taken in order of cost (after any k the
-plan already scanned).  A scan costs about |k|^n.  When P is reflexive,
+plan already scanned, and on a reflexive plan the mirror -1-k of each,
+which costs no scan).  A scan costs about |k|^n.  When P is reflexive,
 as the anticanonical polytope of every Fano fan is, the interior of kP
 holds exactly the lattice points of (k-1)P (Hibi 1992), so node -k costs
 the scan of (k-1)P and no interior scan runs: the nodes are -1, 1, -2,
@@ -70,11 +78,11 @@ also cost P's triangulated volume, against which E's leading coefficient
 was checked.
 `count_lattice_points` and `quantized_barycenter` do so only where every
 measured input was cheaper that way (CPU, 2-core Xeon, Python 3.11, from
-a built plan with no scans, against the scan of kP alone).  The rule was
-measured, and is still priced, with the samples k = 1..n+2; the nodes
-cost less, so it now over-prices the route, and a re-pricing needs the
-crossovers measured again.  Crossovers marked "old order" were measured
-with each plan scanning P's own coordinates:
+a built plan with no scans, against the scan of kP alone).  The first
+rule was measured, and is still priced, with the samples k = 1..n+2;
+the nodes cost less, so it now over-prices the route, and a re-pricing
+needs its crossovers measured again.  Crossovers marked "old order" were
+measured with each plan scanning P's own coordinates:
 
 - P is a lattice polytope with n >= 4 whose plan memoizes no level below
   n-2, and k^(n-2) > ROUTE_MARGIN * (sum of j^(n-2) over j = 1..n+2),
@@ -90,16 +98,21 @@ with each plan scanning P's own coordinates:
   largest k^(n-2) / sum at a crossover was 3.97 (a lattice 4-simplex
   with coordinates in -1..1, k = 19, old order), and ROUTE_MARGIN about
   doubles it.
-- A memoized level below n-2 merges prefixes into states, so such a
-  scan costs far less than k^(n-2).  Measured crossovers (old order; the
-  scan order makes these scans faster still, which only moves them up):
-  futaki(1,3) k = 11, (1,4) 12, (2,3) 14, (2,2) 14-16, (1,6) 15, (3,3)
-  18; unimodular simplices of dimension 4-8 51-66, cubes of dimension
-  4-6 past 80.  V_4 crossed at 49, V_6 past 60 (its triangulated volume
-  alone took 0.5-1.2 s) and V_8 never, since its triangulated volume took
-  more than 80 s while k = 12 scans in 0.02 s; those three were measured
-  while the route paid the triangulated volume, which it no longer does.
-  Those plans are always scanned.
+- P is a lattice polytope whose plan memoizes a level below n-2, the
+  first at level m, and k^m > MEMO_ROUTE = 2048: from k = 46 where
+  m = 2, 13 where m = 3 and 2049 where m = 1.  The memo merges the
+  prefixes that reach level m into states, so such a scan costs far less
+  than k^(n-2), but it still enters level m about k^m times, and with no
+  route V_6 at k = 10^11 never returned.  Crossovers with the state
+  looked up in the parent loop (CPU, min of 3, 2-core Xeon, Python
+  3.11): reflexive, m = 2, futaki(1,3) k = 7, (1,4) 8, (2,2) 9, (2,3)
+  10, (1,6) 10, (3,3) 9, (3,4) 10, V_4 10, V_6 10, V_8 12 and
+  p2 x fano3fold_5_2 5; not reflexive, so the closed form scans
+  interiors, m = 2, the unimodular simplices conv(0, e_1, ..., e_n) of
+  dimension 4-8 25-31 and a unimodular 3-simplex times a triangle 19;
+  fano3fold_5_2 squared (m = 3) 6; the cubes [0, 1]^n of dimension 4-6
+  (m = 1) 327-376.  The largest k^m at a crossover was 31^2 = 961 (the
+  4-simplex), and MEMO_ROUTE about doubles it.
 - For n = 3 the scan is linear in k: on 89 random lattice 3-polytopes,
   futaki(1,1) and fano3fold_5_2 the crossover ranged from k = 14 to
   221, so threefolds are scanned, and so are n <= 2, rational polytopes
@@ -109,6 +122,7 @@ with each plan scanning P's own coordinates:
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import index, sub
 
 from .errors import InvariantViolation, NonLatticePolytopeError, ValidationError
 from .linalg import independent_rows
@@ -484,11 +498,15 @@ def plan_count_and_sum(plan, k, interior=False):
     benchmark's futaki(1,2) at k = 30 and futaki(3,3) at k = 1..3 read
     0.09-0.14 s for every cutoff up to 24, against 0.51-0.57 s stepped.
 
-    A level with `plan.memo_keys[j]` keeps, for this call only, one entry
-    per distinct state (the residuals of those rows on entry): the
-    subtree's count and what it added to sums[j:].  A state seen before
-    adds the stored sums and returns the stored count without a scan.
-    Other levels pay an `is not None` test on entry and on exit.
+    A level j with `plan.memo_keys[j]` keeps, for this call only, one
+    entry per distinct state: the residuals of those rows on entry, an int
+    for one row and a tuple otherwise.  The loop at level j-1 reads the
+    state at each value of x_{j-1} and looks it up; only a miss calls
+    rec(j), and stores (count, what it added to sums[j],
+    ..., sums[n-1]).  A hit costs the lookup alone: its count enters the
+    loop's count, and the hits' sums are added once after the loop, one
+    column per level.  The loop of a level whose next level is not
+    memoized is the plain one: no lookup and no test per value.
     """
     n = plan.dim
     divisors, res, updates = _scan_setup(plan, k, interior)
@@ -508,18 +526,9 @@ def plan_count_and_sum(plan, k, interior=False):
         a, c = row.coeffs[-1], row.coeffs[-2]
         (last_upper if a > 0 else last_lower).append((r, abs(a), c))
     keys = [None if rows is None else [(res[jj], r) for jj, r in rows] for rows in plan.memo_keys]
-    memo = [{} for _ in range(n)]
+    memos = [{} for _ in range(n)]
 
     def rec(j):
-        key_rows = keys[j]
-        if key_rows is not None:
-            key = tuple([lst[r] for lst, r in key_rows])
-            hit = memo[j].get(key)
-            if hit is not None:
-                for i, d in enumerate(hit[1], j):
-                    sums[i] += d
-                return hit[0]
-            before = sums[j:]
         lo, hi = _level_bounds(divisors[j], res[j])
         if lo > hi:
             return 0
@@ -561,7 +570,7 @@ def plan_count_and_sum(plan, k, interior=False):
                 for lst, r, a in ups:
                     lst[r] -= a
             sums[n - 1] += ends
-        else:
+        elif keys[j + 1] is None:
             while True:
                 c = rec(j + 1)
                 count += c
@@ -571,11 +580,41 @@ def plan_count_and_sum(plan, k, interior=False):
                 x += 1
                 for lst, r, a in ups:
                     lst[r] -= a
+        else:
+            # Level j+1 is memoized: look its state up here, and call only
+            # on a miss.  A state is (count, sums[j+1:] added); the hits'
+            # sums are added once, column by column, after the loop.
+            key_rows = keys[j + 1]
+            memo = memos[j + 1]
+            key_list, key_row = key_rows[0] if len(key_rows) == 1 else (None, None)
+            hits = []
+            while True:
+                key = (
+                    key_list[key_row] if key_list is not None
+                    else tuple([lst[r] for lst, r in key_rows])
+                )
+                state = memo.get(key)
+                if state is None:
+                    before = sums[j + 1:]
+                    c = rec(j + 1)
+                    memo[key] = (c, *map(sub, sums[j + 1:], before))
+                else:
+                    c = state[0]
+                    hits.append(state)
+                count += c
+                weighted += x * c
+                if x == hi:
+                    break
+                x += 1
+                for lst, r, a in ups:
+                    lst[r] -= a
+            if hits:
+                _, *columns = zip(*hits)
+                for i, column in enumerate(columns, j + 1):
+                    sums[i] += sum(column)
         for lst, r, a in ups:
             lst[r] += a * x
         sums[j] += weighted
-        if key_rows is not None:
-            memo[j][key] = (count, [s - b for s, b in zip(sums[j:], before)])
         return count
 
     count = rec(0)
@@ -658,41 +697,58 @@ def _count_and_sum(plan, k):
 def _nodes(plan, count):
     """`count` distinct nonzero dilations at which to interpolate, cheapest first.
 
-    First the k this plan has already scanned, smallest |k| first, then
-    the rest in order of cost.  A scan of kP or of its interior costs
-    about k^n.  On a reflexive plan node -k costs the scan of (k-1)P
-    (`_count_and_sum`), so the order is -1, 1, -2, 2, ..., and from cold
+    First the free nodes, then the rest, each in order of cost.  A scan of
+    kP or of its interior costs about k^n.  The free nodes are the k this
+    plan already holds, and on a reflexive plan also -1 and the mirror
+    -1-k of each k >= 0 it holds, since node -1-k is read off the scan of
+    kP (`_count_and_sum`) and -1 off 0P = {0}.  So on a reflexive plan the
+    order is -1, 1, -2, 2, ..., by the scan each node reads, and from cold
     caches the scans are k = 1..floor(count/2); otherwise it is 1, -1, 2,
-    -2, ..., and |k| <= ceil(count/2).
+    -2, ..., and |k| <= ceil(count/2).  On a reflexive plan each node
+    k >= 1 is next to its mirror -1-k, and -1 comes first, whose mirror 0
+    is a point of every interpolation: among 0 and the nodes only the last
+    can lack its mirror (`barycenter_rational_function`).
     """
-    nodes = sorted((k for k in plan.scans if k), key=lambda k: (abs(k), k < 0))[:count]
+    free = {k for k in plan.scans if k}
+    if plan.reflexive:
+        free |= {-1 - k for k in (0, *plan.scans) if k >= 0}
+
+    def cost(x):
+        return (-1 - x if plan.reflexive and x < 0 else abs(x), x < 0)
+
+    nodes = sorted(free, key=cost)[:count]
     k = 1
     while len(nodes) < count:
         for x in ((-k, k) if plan.reflexive else (k, -k)):
-            if len(nodes) < count and x not in plan.scans:
+            if len(nodes) < count and x not in free:
                 nodes.append(x)
         k += 1
     return nodes
 
 
 ROUTE_MARGIN = 8  # about twice the largest ratio at a measured crossover
+MEMO_ROUTE = 2048  # about twice the largest k^m at a crossover of a memoized plan
 
 
 def _from_polynomials(p, plan, k):
     """Whether kP is read off P's polynomials rather than scanned.
 
-    The rule of the module docstring: P a lattice polytope with n >= 4
-    whose plan memoizes no level below n-2, and
-    k^(n-2) > ROUTE_MARGIN * (sum of j^(n-2) over the samples j = 1..n+2),
-    which implies k > n+2.  The sum prices the samples the crossovers
-    were measured with, not today's cheaper nodes |k| <= ceil((n+2)/2).
-    A memo at level n-2 is allowed: the scan still enters that level about
+    The rule of the module docstring, for a lattice polytope P with n >= 4.
+    When the plan memoizes a level below n-2, m the first: k^m > MEMO_ROUTE.
+    Otherwise k^(n-2) > ROUTE_MARGIN * (sum of j^(n-2) over the samples
+    j = 1..n+2), which implies k > n+2; the sum prices the samples the
+    crossovers were measured with, not today's cheaper nodes.  A memo at
+    level n-2 does not count: the scan still enters that level about
     k^(n-2) times.
     """
     n = p.dim
-    if n < 4 or any(keys is not None for keys in plan.memo_keys[: n - 2]):
+    if n < 4:
         return False
-    if k ** (n - 2) <= ROUTE_MARGIN * sum(j ** (n - 2) for j in range(1, n + 3)):
+    m = next((j for j, keys in enumerate(plan.memo_keys[: n - 2]) if keys is not None), None)
+    if m is not None:
+        if k ** m <= MEMO_ROUTE:
+            return False
+    elif k ** (n - 2) <= ROUTE_MARGIN * sum(j ** (n - 2) for j in range(1, n + 3)):
         return False
     return is_lattice_polytope(p)
 
@@ -719,15 +775,29 @@ def _dilation_count_and_sum(p, k):
     return count, tuple(sums)
 
 
+def _dilation(k):
+    """k as an int, for any integer type; a float, even 2.0, is refused.
+
+    A dilation keys the plan's scans and becomes an interpolation node, so
+    it must be an exact integer.
+    """
+    try:
+        return index(k)
+    except TypeError:
+        raise ValidationError(f"k must be an integer, not {k!r}") from None
+
+
 def count_lattice_points(p, k=1):
     """#(kP cap M) for k >= 0 (0P is {0}).
 
-    A scan of kP, or, for a lattice polytope with n >= 4 whose plan
-    memoizes no level below n-2 and k past the rule (k >= 27 for n = 4,
-    19 for n = 5, 17 for n = 6, 16 for n = 7 and 8), the value of P's
-    Ehrhart polynomial; the module docstring has the rule and the measured
+    A scan of kP, or, for a lattice polytope with n >= 4 and k past the
+    rule, the value of P's Ehrhart polynomial.  Past the rule means k >= 27
+    for n = 4, 19 for n = 5, 17 for n = 6, 16 for n = 7 and 8 when the plan
+    memoizes no level below n-2, and k^m > 2048 when it does, m the first
+    such level; the module docstring has the rule and the measured
     crossovers.
     """
+    k = _dilation(k)
     if k < 0:
         raise ValidationError("k must be a nonnegative integer")
     return _dilation_count_and_sum(p, k)[0]
@@ -737,11 +807,11 @@ def quantized_barycenter(p, k):
     """Average of the lattice points of kP, divided by k.
 
     kP's count and sums come from a scan of kP, or, for a lattice polytope
-    with n >= 4 whose plan memoizes no level below n-2 and k past the rule
-    (k >= 27 for n = 4, 19 for n = 5, 17 for n = 6, 16 for n = 7 and 8),
-    from P's weighted Ehrhart polynomials; the module docstring has the
-    rule and the measured crossovers.
+    with n >= 4 and k past the rule of `count_lattice_points`, from P's
+    weighted Ehrhart polynomials; the module docstring has the rule and
+    the measured crossovers.
     """
+    k = _dilation(k)
     if k < 1:
         raise ValidationError("k must be a positive integer")
     count, sums = _dilation_count_and_sum(p, k)
@@ -890,9 +960,10 @@ def barycenter_rational_function(p):
     - R has degree at most n+1, as F has.
     - R vanishes at m and at -1-m whenever both are among 0 and the nodes
       (F(-1) = s*F(0), for E(0) = 1 and S_i(0) = 0).
-    - From cold caches the points 0, -1, 1, -2, 2, ... are n+3, at most
-      one of them without its mirror, so once the last node matches R has
-      at least n+2 zeros, more than its degree, and R = 0.
+    - The points, 0 and the n+2 nodes, are n+3, and of them only the last
+      node can lack its mirror (`_nodes` takes -1 and each free k with its
+      mirror), so once the last node matches R has at least n+2 zeros,
+      more than its degree, and R = 0.
     """
     if not is_lattice_polytope(p):
         raise NonLatticePolytopeError(
@@ -928,7 +999,7 @@ def rigidity_verdict(p, ks):
     coefficient of S_i over vol(P) (`polytope.volume_and_barycenter`).
     Otherwise the nonzero witnesses are returned.
     """
-    ks = sorted(set(int(k) for k in ks))
+    ks = sorted(set(map(_dilation, ks)))
     if len(ks) < p.dim + 1 or any(k < 1 for k in ks):
         raise ValidationError("need at least n+1 distinct positive dilations")
     if not is_lattice_polytope(p):

@@ -146,6 +146,25 @@ def test_dilation_factor_must_be_meaningful(dp1_fan):
     assert count_lattice_points(p, 0) == 1
 
 
+def test_dilation_factor_must_be_an_integer():
+    # A float k, even 2.0, is refused before it reaches the plan's scans,
+    # where it would be a key and an interpolation node.
+    p = polytope_from_fan(generate_futaki(1, 1))
+    plan_for_polytope.cache_clear()
+    for k in (2.0, 1.5, Fraction(2), "2"):
+        with pytest.raises(ValidationError, match="integer"):
+            count_lattice_points(p, k)
+        with pytest.raises(ValidationError, match="integer"):
+            quantized_barycenter(p, k)
+        with pytest.raises(ValidationError, match="integer"):
+            rigidity_verdict(p, [1, 2, 3, k])
+    assert plan_for_polytope(p).scans == {}
+    count = count_lattice_points(p, 2)
+    assert count == 115 and type(count) is int
+    assert ehrhart_polynomial(p)(2) == 115
+    assert all(type(k) is int for k in plan_for_polytope(p).scans)
+
+
 def test_quantized_barycenter_equivariance(del_pezzo_fans):
     for f in del_pezzo_fans.values():
         p = polytope_from_fan(f)

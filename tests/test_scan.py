@@ -53,12 +53,15 @@ def test_scan_matches_per_leaf_oracle():
     cases += [
         (polytope_from_vertices([(a,), (b,)]), None) for a, b in ((0, 1), (-1, 1), (-5, -2), (2, 9))
     ]
-    # Bundles, whose levels 2.. memoize, then a product (empty memo key at
-    # level 2) and a unimodular image of futaki(2,2), which memoizes nothing.
+    # Bundles, whose levels 2.. memoize, then products (an empty memo key
+    # at level 2 of dp1 x dp2, a two-row key at level 3 of p2 x
+    # fano3fold_5_2) and a unimodular image of futaki(2,2), which memoizes
+    # nothing.
     f22 = polytope_from_fan(generate_futaki(2, 2))
     cases += [(f22, 5), (polytope_from_fan(generate_futaki(2, 3)), 4)]
     cases.append((polytope_from_fan(generate_futaki(3, 3)), 3))
     cases.append((bundled_product("dp1", "dp2"), None))
+    cases.append((bundled_product("p2", "fano3fold_5_2"), None))
     m = random_unimodular(random.Random(1), size=8, n=5)
     cases.append((polytope_from_vertices([mat_vec(m, v) for v in f22.vertices]), 5))
     for p, k_max in cases:
@@ -85,6 +88,11 @@ def test_memoized_levels():
         assert memoized_levels(p) == set()
     # dp2's rows never see dp1's coordinates: level 2 is scanned once.
     assert build_plan(bundled_product("dp1", "dp2")).memo_keys == (None, None, (), None)
+    # p2 x fano3fold_5_2 keys level 2 by one row and level 3 by two, the
+    # one state of the tests that is a tuple of residuals.
+    p2_f52 = bundled_product("p2", "fano3fold_5_2")
+    assert memoized_levels(p2_f52) == {2, 3}
+    assert [len(plan_for_polytope(p2_f52).memo_keys[j]) for j in (2, 3)] == [1, 2]
 
 
 def test_scan_skips_prefixes_where_an_upper_level_is_loose():
@@ -256,11 +264,14 @@ def test_interior_scan_of_a_plan_with_offsets():
 def test_interior_scan_matches_per_leaf_oracle_on_lowered_rows(monkeypatch):
     # The interior of the k-th dilation is the k-th dilation of the plan
     # whose rows are lowered by 1: on futaki(2,2), whose levels 2..
-    # memoize, on plans with c0 != 0 or loose levels, and on futaki(1,2)
-    # at k >= 10, whose intervals are closed by floor sums.
+    # memoize, on p2 x fano3fold_5_2, whose level 3 is keyed by two rows,
+    # on plans with c0 != 0 or loose levels, and on futaki(1,2) at k >= 10,
+    # whose intervals are closed by floor sums.
     f22 = plan_for_polytope(polytope_from_fan(generate_futaki(2, 2)))
     assert any(rows is not None for rows in f22.memo_keys)
-    cases = [(f22, range(5)), (OFFSET_PLAN, range(6))]
+    p2_f52 = plan_for_polytope(bundled_product("p2", "fano3fold_5_2"))
+    assert len(p2_f52.memo_keys[3]) == 2
+    cases = [(f22, range(5)), (p2_f52, range(5)), (OFFSET_PLAN, range(6))]
     cases += [(plan, (1, 9, 30)) for plan in LOOSE_PLANS]
     closed = closed_intervals(monkeypatch)
     for plan, ks in cases:
@@ -488,7 +499,8 @@ def test_rational_polytope_scans_large_dilations(monkeypatch):
 
 def test_memoized_plans_scan_large_dilations(monkeypatch):
     # A memoized level below n-2 makes the scan far cheaper than k^(n-2)
-    # prefixes: such a plan is scanned at k alone.
+    # prefixes: such a plan, whose first memoized level is m = 2 here, is
+    # scanned at k alone while k^2 <= MEMO_ROUTE = 2048, up to k = 45.
     v8 = polytope_from_fan(Fan.from_rays(v_n_rays(8)))
     futaki_2_2 = polytope_from_fan(generate_futaki(2, 2))
     calls = scanned_dilations(monkeypatch)
@@ -504,9 +516,46 @@ def test_memoized_plans_scan_large_dilations(monkeypatch):
     barycenter_rational_function(futaki_2_2)
     assert quantized_barycenter(futaki_2_2, 16) == bc
     quantized_barycenter(futaki_2_2, 20)
-    # The rational function's n+2 = 7 nodes: 16, which the plan holds,
-    # then -1, 1, -2, 2, -3, 3, of which node -k is read off (k-1)P.
-    assert calls == Counter([12, 16, 16, 20, 1, 2, 3])
+    # The rational function's n+2 = 7 nodes: -1, then 16, which the plan
+    # holds, with its mirror -17, read off 16P, then 1, -2, 2, -3, of which
+    # node -k is read off (k-1)P.  So P and 2P are scanned, not 3P.
+    assert calls == Counter([12, 16, 16, 20, 1, 2])
+    quantized_barycenter(futaki_2_2, 45)
+    quantized_barycenter(futaki_2_2, 46)  # 46^2 > 2048: read off the closed form
+    assert calls == Counter([12, 16, 16, 20, 1, 2, 45])
+
+
+def test_memoized_plans_past_the_rule_come_from_the_polynomials(monkeypatch):
+    # Past k^m = MEMO_ROUTE, with m the first memoized level, the closed
+    # form is read and matches the scan: V_6 and futaki(2,2) (m = 2) at
+    # k = 46, and the 4-cube, a product memoized from level 1, at 2049.
+    cube = polytope_from_vertices(list(product((0, 1), repeat=4)))
+    cases = [
+        (polytope_from_fan(Fan.from_rays(v_n_rays(6))), 2, 46),
+        (polytope_from_fan(generate_futaki(2, 2)), 2, 46),
+        (cube, 1, 2049),
+    ]
+    calls = scanned_dilations(monkeypatch)
+    for p, m, k in cases:
+        assert min(memoized_levels(p)) == m
+        assert k ** m > latticecount.MEMO_ROUTE >= (k - 1) ** m
+        count_lattice_points(p, k)
+        quantized_barycenter(p, k)
+        assert calls[k] == 0
+        assert_matches_direct_scan(p, k)
+
+
+def test_a_memoized_plan_at_a_huge_dilation_answers_within_budget():
+    # Bc_k of V_6 at k = 10^11: a scan would step through about k^2
+    # prefixes of levels 0 and 1; the closed form costs the scans of P, 2P
+    # and 3P.
+    v6 = polytope_from_fan(Fan.from_rays(v_n_rays(6)))
+    k = 10 ** 11
+    plan_for_polytope.cache_clear()
+    with Budget("V_6 at k = 10^11 from a cold plan", 1.0):
+        assert quantized_barycenter(v6, k) == (0,) * 6
+        count = count_lattice_points(v6, k)
+    assert count == ehrhart_polynomial(v6)(k)
 
 
 def test_v8_plan_from_a_cold_cache():
