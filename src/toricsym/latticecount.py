@@ -39,14 +39,23 @@ once which levels meet this rank condition, and a scan memoizes them by
 the basis residuals: a bare int where the basis is one row, as at every
 memoized level of futaki(a,b) and V_n, and a tuple otherwise (two rows
 at level 3 of p2 x fano3fold_5_2, none at level 2 of a product of
-surfaces).  The loop at level j-1 reads the state of level j and looks
-it up itself, and enters level j by a call only on a miss; a state keeps
-the subtree's count and what it added to the sums of x_j..x_{n-1} as one
-tuple.  On futaki(3,3) at k = 3, 399 of the 454 lookups are hits.
-Bundles and products such as futaki(3,3) have such levels, and so has
-the bundled futaki_1_2 at level 2, since its scan order puts its base
-coordinate last; the other bundled fans and the criterion-4 polytopes
-have none, so their scans run the plain loop.
+surfaces).  Bundles and products such as futaki(3,3) have such levels,
+and so has the bundled futaki_1_2 at level 2, since its scan order puts
+its base coordinate last; the other bundled fans and the criterion-4
+polytopes have none, so their scans run the plain loop.
+
+The loop at level j-1 steps the state of level j by the key rows'
+coefficients on x_{j-1} and looks it up itself; only a miss moves the
+residuals of the levels below to the loop's value and enters level j by
+a call.  A state keeps the subtree's count and what it added to the sums
+of x_j..x_{n-1} as one tuple.  On futaki(3,3) at k = 3, 399 of the 454
+lookups are hits, and each costs the lookup, the step of its key and the
+adds of its count.  What a scan reads and no k changes (each level's
+divisors, which residuals move with each x_j, the key rows and the last
+level's split into upper and lower rows) is built once per plan
+(`ScanTables`), so a scan of kP only fills in its residuals.  Both
+together cut the scans of futaki(1,2) and futaki(3,3) at k = 1..3 from
+1.13 to 0.80 ms (CPU, best of 15, 2-core Xeon, Python 3.11).
 
 One plan of P serves every dilation, and its interior too: lowering
 every row's right-hand side by 1 scans the lattice points strictly inside
@@ -99,33 +108,39 @@ measured with each plan scanning P's own coordinates:
   with coordinates in -1..1, k = 19, old order), and ROUTE_MARGIN about
   doubles it.
 - P is a lattice polytope whose plan memoizes a level below n-2, the
-  first at level m, and k^m > MEMO_ROUTE = 2048: from k = 46 where
-  m = 2, 13 where m = 3 and 2049 where m = 1.  The memo merges the
-  prefixes that reach level m into states, so such a scan costs far less
-  than k^(n-2), but it still enters level m about k^m times, and with no
-  route V_6 at k = 10^11 never returned.  Crossovers with the state
-  looked up in the parent loop (CPU, min of 3, 2-core Xeon, Python
-  3.11): reflexive, m = 2, futaki(1,3) k = 7, (1,4) 8, (2,2) 9, (2,3)
-  10, (1,6) 10, (3,3) 9, (3,4) 10, V_4 10, V_6 10, V_8 12 and
-  p2 x fano3fold_5_2 5; not reflexive, so the closed form scans
-  interiors, m = 2, the unimodular simplices conv(0, e_1, ..., e_n) of
-  dimension 4-8 25-31 and a unimodular 3-simplex times a triangle 19;
-  fano3fold_5_2 squared (m = 3) 6; the cubes [0, 1]^n of dimension 4-6
-  (m = 1) 327-376.  The largest k^m at a crossover was 31^2 = 961 (the
-  4-simplex), and MEMO_ROUTE about doubles it.
+  first at level m, and k^m > REFLEXIVE_ROUTE = 432 when the plan is
+  reflexive, k^m > MEMO_ROUTE = 2048 otherwise: from k = 21 and 46
+  where m = 2, 8 and 13 where m = 3, 433 and 2049 where m = 1.  The
+  memo merges the prefixes that reach level m into states, so such a
+  scan costs far less than k^(n-2), but it still enters level m about
+  k^m times, and with no route V_6 at k = 10^11 never returned.
+  Crossovers with residuals moved only on a miss (CPU, min of 3, from a
+  built plan, two runs, 2-core Xeon, Python 3.11): reflexive, so the
+  closed form scans no interior, m = 2, futaki(1,3) k = 6, (1,4) 8,
+  (2,2) 8, (2,3) 9, (1,6) 9-10, (3,3) 9, (3,4) 11, V_6 9, V_8 11-12,
+  p2 x fano3fold_5_2 5 and fano3fold_5_2 times a square 9;
+  fano3fold_5_2 squared (m = 3) 6; the cubes [-1, 1]^n of dimension
+  4-6 (m = 1) 72-89.  The largest k^m was 6^3 = 216, and
+  REFLEXIVE_ROUTE doubles it.  Not reflexive, so the closed form scans
+  interiors: m = 2, the unimodular simplices conv(0, e_1, ..., e_n) of
+  dimension 5-8 18-21 and a unimodular 3-simplex times a triangle 21;
+  the cubes [0, 1]^n of dimension 4-6 (m = 1) 25-211.  Their largest
+  k^m was 21^2 = 441, under a quarter of MEMO_ROUTE, which doubled the
+  largest one on the loop that moved every residual at every step,
+  31^2 = 961, and is kept.
 - For n = 3 the scan is linear in k: on 89 random lattice 3-polytopes,
   futaki(1,1) and fano3fold_5_2 the crossover ranged from k = 14 to
   221, so threefolds are scanned, and so are n <= 2, rational polytopes
   (whose counts are quasi-polynomials) and every k below the rule.
 """
 
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import index, sub
+from operator import index, itemgetter, sub
 
 from .errors import InvariantViolation, NonLatticePolytopeError, ValidationError
-from .linalg import independent_rows
 from .polytope import is_lattice_polytope
 from .record import Record
 
@@ -167,12 +182,18 @@ class EnumerationPlan(Record):
     (level, row) pairs of the first basis of those forms, whose residuals
     are the state a scan memoizes level j by.  Otherwise distinct
     prefixes give distinct states, and `memo_keys[j]` is None.
+    `_memo_key` finds that basis row by row and stops at rank j.
+
+    `tables` holds what every scan of the plan reads and no k changes
+    (`ScanTables`), built here once, so that a scan only fills in its
+    residuals.
 
     A hand-built plan is checked when made: `order` is a permutation of
     0..dim-1, every row at level j has j+1 coefficients, and every level
     holds a row with a positive and a row with a negative last
     coefficient, so each interval is bounded.  Equality, the hash and the
-    repr read `dim`, `levels`, `constants` and `order`.
+    repr read `dim`, `levels`, `constants` and `order`; the other slots
+    are derived from these or are caches.
     """
 
     __slots__ = (
@@ -185,6 +206,7 @@ class EnumerationPlan(Record):
         "rational",  # (W, W*E, W*S_i) once built
         "brf",
         "memo_keys",
+        "tables",
     )
     _compare = ("dim", "levels", "constants", "order")
 
@@ -198,21 +220,96 @@ class EnumerationPlan(Record):
             lasts = [row.coeffs[j] for row in level]
             if not (any(c > 0 for c in lasts) and any(c < 0 for c in lasts)):
                 raise ValidationError(f"plan level {j} lacks an upper or a lower row")
-        keys = [None] * dim
-        for j in range(1, dim - 1):
-            rows = [
-                (jj, r)
-                for jj in range(j, dim)
-                for r, row in enumerate(levels[jj])
-                if any(row.coeffs[:j])
-            ]
-            basis = independent_rows([levels[jj][r].coeffs[:j] for jj, r in rows])
-            if len(basis) < j:
-                keys[j] = tuple(rows[i] for i in basis)
+        keys = tuple(_memo_key(levels, j) if 0 < j < dim - 1 else None for j in range(dim))
         scans = {} if scans is None else scans
         Record.__init__(
-            self, dim, levels, constants, order, reflexive, scans, None, None, tuple(keys)
+            self, dim, levels, constants, order, reflexive, scans, None, None, keys,
+            _scan_tables(levels, keys),
         )
+
+
+def _memo_key(levels, j):
+    """`memo_keys[j]` of a plan with these levels: a tuple of (level, row), or None.
+
+    The rows at levels >= j, in order, are reduced on their first j
+    coefficients against the basis kept so far, by fraction-free
+    elimination in the order of the basis rows' pivots; a row that does not
+    reduce to 0 joins the basis with its first nonzero entry as pivot.  So
+    the basis is the first one, and the search stops once it holds j rows,
+    as it does after about j rows at a level that is not memoized.
+    """
+    basis = []  # (pivot, reduced form), by rising pivot
+    key = []
+    seen = set()  # a form met before reduces to 0 again
+    for jj in range(j, len(levels)):
+        for r, row in enumerate(levels[jj]):
+            v = row.coeffs[:j]
+            if v in seen or not any(v):
+                continue
+            seen.add(v)
+            for p, b in basis:
+                f = v[p]
+                if f:
+                    e = b[p]
+                    v = [e * x - f * y for x, y in zip(v, b)]
+            for p, x in enumerate(v):
+                if x:
+                    if len(key) + 1 == j:
+                        return None
+                    insort(basis, (p, v), key=itemgetter(0))
+                    key.append((jj, r))
+                    break
+    return tuple(key)
+
+
+class ScanTables(Record):
+    """What every scan of a plan reads that no dilation factor changes.
+
+    A scan keeps the residual c - a.y of every row of the plan in one flat
+    list, level by level, so that row r of level j is entry
+    offset_j + r.  `rhs[i]` is (c0, ck) of entry i, so a scan of kP fills
+    in c0 + ck*k, less 1 for the interior.  `bounds[j]` holds (i, a) for
+    each row of level j, a its coefficient on y_j.  `fanouts[j]` holds
+    (i, a) for each row at a level > j with a nonzero coefficient a on
+    y_j, whose residual falls by a when y_j rises by 1.  `keys[j]` is
+    None where `memo_keys[j]` is, and otherwise holds (i, a) for each key
+    row, a its coefficient on y_{j-1}, the variable of the loop that looks
+    level j's states up.  `upper` and `lower` hold (i, |a|, c) for the last
+    level's rows with a > 0 and a < 0, c the coefficient on y_{n-2}.
+    """
+
+    __slots__ = ("rhs", "bounds", "fanouts", "keys", "upper", "lower")
+
+
+def _scan_tables(levels, memo_keys):
+    """The `ScanTables` of a plan with these levels and memo keys."""
+    n = len(levels)
+    offsets, bounds, fanouts = [], [], [[] for _ in range(n)]
+    i = 0
+    for j, level in enumerate(levels):
+        offsets.append(i)
+        bound = []
+        for row in level:
+            coeffs = row.coeffs
+            bound.append((i, coeffs[j]))
+            for jj in range(j):
+                if coeffs[jj]:
+                    fanouts[jj].append((i, coeffs[jj]))
+            i += 1
+        bounds.append(tuple(bound))
+    last = [(offsets[-1] + r, row.coeffs) for r, row in enumerate(levels[-1])] if n > 1 else []
+    return ScanTables(
+        tuple((row.c0, row.ck) for level in levels for row in level),
+        tuple(bounds),
+        tuple(map(tuple, fanouts)),
+        tuple(
+            None if rows is None
+            else tuple((offsets[jj] + r, levels[jj][r].coeffs[j - 1]) for jj, r in rows)
+            for j, rows in enumerate(memo_keys)
+        ),
+        tuple((i, a[-1], a[-2]) for i, a in last if a[-1] > 0),
+        tuple((i, -a[-1], a[-2]) for i, a in last if a[-1] < 0),
+    )
 
 
 def coordinate_order(p):
@@ -318,36 +415,14 @@ def plan_for_polytope(p):
     return build_plan(p)
 
 
-def _scan_setup(plan, k, interior=False):
-    """Per-level divisor lists, residuals, and update fanouts for a scan.
+def _level_bounds(rows, res):
+    """(lo, hi) of one level, its rows (i, a) from `ScanTables.bounds`.
 
-    `res[j][r]` holds c - sum(a_i x_i) over the assigned prefix for row r
-    of level j, with c = c0 + ck*k, or c0 + ck*k - 1 for the interior;
-    `updates[i]` lists (res[j], r, coeff) for each residual touched when
-    x_i moves, so each bound evaluation is a single exact division.
+    `build_plan` gives every level rows of both signs.
     """
-    n = plan.dim
-    shift = 1 if interior else 0
-    divisors = []
-    res = []
-    for level in plan.levels:
-        divisors.append([row.coeffs[-1] for row in level])
-        res.append([row.c0 + row.ck * k - shift for row in level])
-    updates = []
-    for i in range(n):
-        ups = []
-        for j in range(i + 1, n):
-            for r, row in enumerate(plan.levels[j]):
-                if row.coeffs[i]:
-                    ups.append((res[j], r, row.coeffs[i]))
-        updates.append(ups)
-    return divisors, res, updates
-
-
-def _level_bounds(divisors_j, res_j):
-    """(lo, hi) of one level; `build_plan` gives it rows of both signs."""
     lo, hi = None, None
-    for a, s in zip(divisors_j, res_j):
+    for i, a in rows:
+        s = res[i]
         if a > 0:
             b = s // a
             if hi is None or b < hi:
@@ -473,7 +548,9 @@ def plan_count_and_sum(plan, k, interior=False):
     plain one, with no reciprocity sign (`_count_and_sum` applies it).
     The sums are in P's coordinates: level j's is that of x_order[j].
 
-    One depth-first pass: each call returns the point count of its
+    The scan reads the plan's `tables` (`ScanTables`), built once per
+    plan, and only fills in the residual of each row for this k.  One
+    depth-first pass: each call returns the point count of its
     subtree, and level j adds x_j times that count to sums[j] once per
     value x_j.  The last two levels are closed, with no call per leaf.
     Over x_{n-2} in lo..hi the last level runs from l to h and adds
@@ -501,100 +578,112 @@ def plan_count_and_sum(plan, k, interior=False):
     A level j with `plan.memo_keys[j]` keeps, for this call only, one
     entry per distinct state: the residuals of those rows on entry, an int
     for one row and a tuple otherwise.  The loop at level j-1 reads the
-    state at each value of x_{j-1} and looks it up; only a miss calls
-    rec(j), and stores (count, what it added to sums[j],
-    ..., sums[n-1]).  A hit costs the lookup alone: its count enters the
-    loop's count, and the hits' sums are added once after the loop, one
-    column per level.  The loop of a level whose next level is not
-    memoized is the plain one: no lookup and no test per value.
+    state at lo and moves it by the key rows' coefficients on x_{j-1} at
+    each step, and looks it up.  It leaves the residuals of the levels
+    below where they were: only a miss moves them, by a*(x - at) from the
+    value `at` they hold to x, then calls rec(j) and stores (count, what
+    it added to sums[j], ..., sums[n-1]).  So a hit costs the lookup, the
+    step of the key and the adds of its count: the hits' sums are added
+    once after the loop, one column per level.  The loop of a level whose
+    next level is not memoized is the plain one: it moves the residuals at
+    each value and calls, with no lookup.
     """
     n = plan.dim
-    divisors, res, updates = _scan_setup(plan, k, interior)
+    tables = plan.tables
+    shift = 1 if interior else 0
+    res = [c0 + ck * k - shift for c0, ck in tables.rhs]
+    bounds, fanouts, keys = tables.bounds, tables.fanouts, tables.keys
     if n == 1:
-        lo, hi = _level_bounds(divisors[0], res[0])
+        lo, hi = _level_bounds(bounds[0], res)
         cnt = max(hi - lo + 1, 0)
         return cnt, ((hi + lo) * cnt // 2,)
 
     sums = [0] * n
     penultimate = n - 2
-    last_res = res[n - 1]
-    last_rows = list(enumerate(divisors[n - 1]))
-    # (row, |divisor|, coefficient on x_{n-2}) of the last level's upper
-    # and lower rows, for intervals closed by floor sums
-    last_upper, last_lower = [], []
-    for r, row in enumerate(plan.levels[n - 1]):
-        a, c = row.coeffs[-1], row.coeffs[-2]
-        (last_upper if a > 0 else last_lower).append((r, abs(a), c))
-    keys = [None if rows is None else [(res[jj], r) for jj, r in rows] for rows in plan.memo_keys]
+    last_rows = bounds[n - 1]
+    upper, lower = tables.upper, tables.lower
     memos = [{} for _ in range(n)]
 
     def rec(j):
-        lo, hi = _level_bounds(divisors[j], res[j])
+        lo, hi = _level_bounds(bounds[j], res)
         if lo > hi:
             return 0
-        ups = updates[j]
-        for lst, r, a in ups:
-            lst[r] -= a * lo
-        count = weighted = 0
-        x = lo
         if j == penultimate and hi - lo >= CLOSE_FROM:
+            # the last level's residuals at x_{n-2} = lo, unmoved
             count, weighted, ends = _close_last_two(
-                [(a, last_res[r], c) for r, a, c in last_upper],
-                [(a, last_res[r], c) for r, a, c in last_lower],
+                [(a, res[i] - c * lo, c) for i, a, c in upper],
+                [(a, res[i] - c * lo, c) for i, a, c in lower],
                 hi - lo,
             )
-            weighted += lo * count
+            sums[j] += weighted + lo * count
             sums[n - 1] += ends
-        elif j == penultimate:
-            ends = 0  # sum of (h + l) * (h - l + 1) over the leaves
-            while True:
-                l = h = None
-                for r, a in last_rows:
-                    s = last_res[r]
-                    if a > 0:
-                        b = s // a
-                        if h is None or b < h:
-                            h = b
-                    else:
-                        b = -(s // -a)
-                        if l is None or b > l:
-                            l = b
-                if h >= l:
-                    c = h - l + 1
+            return count
+        ups = fanouts[j]
+        count = weighted = 0
+        x = lo
+        key_rows = keys[j + 1]
+        if key_rows is None:
+            for i, a in ups:
+                res[i] -= a * lo
+            if j == penultimate:
+                ends = 0  # sum of (h + l) * (h - l + 1) over the leaves
+                while True:
+                    l = h = None
+                    for i, a in last_rows:
+                        s = res[i]
+                        if a > 0:
+                            b = s // a
+                            if h is None or b < h:
+                                h = b
+                        else:
+                            b = -(s // -a)
+                            if l is None or b > l:
+                                l = b
+                    if h >= l:
+                        c = h - l + 1
+                        count += c
+                        weighted += x * c
+                        ends += (h + l) * c
+                    if x == hi:
+                        break
+                    x += 1
+                    for i, a in ups:
+                        res[i] -= a
+                sums[n - 1] += ends
+            else:
+                while True:
+                    c = rec(j + 1)
                     count += c
                     weighted += x * c
-                    ends += (h + l) * c
-                if x == hi:
-                    break
-                x += 1
-                for lst, r, a in ups:
-                    lst[r] -= a
-            sums[n - 1] += ends
-        elif keys[j + 1] is None:
-            while True:
-                c = rec(j + 1)
-                count += c
-                weighted += x * c
-                if x == hi:
-                    break
-                x += 1
-                for lst, r, a in ups:
-                    lst[r] -= a
+                    if x == hi:
+                        break
+                    x += 1
+                    for i, a in ups:
+                        res[i] -= a
+            for i, a in ups:
+                res[i] += a * x
         else:
-            # Level j+1 is memoized: look its state up here, and call only
-            # on a miss.  A state is (count, sums[j+1:] added); the hits'
-            # sums are added once, column by column, after the loop.
-            key_rows = keys[j + 1]
+            # Level j+1 is memoized: its state is stepped and looked up
+            # here, and the residuals move to x only on a miss.  A state is
+            # (count, sums[j+1:] added); the hits' sums are added once,
+            # column by column, after the loop.
             memo = memos[j + 1]
-            key_list, key_row = key_rows[0] if len(key_rows) == 1 else (None, None)
             hits = []
+            at = 0  # the value of x_j the residuals below hold
+            if len(key_rows) == 1:
+                ((i, step),) = key_rows
+                key, steps = res[i] - step * lo, None
+            else:
+                key = tuple([res[i] - a * lo for i, a in key_rows])
+                steps = [a for _, a in key_rows]
             while True:
-                key = (
-                    key_list[key_row] if key_list is not None
-                    else tuple([lst[r] for lst, r in key_rows])
-                )
                 state = memo.get(key)
                 if state is None:
+                    if x != at:
+                        d = x - at
+                        for i, a in ups:
+                            res[i] -= a * d
+                        at = x
                     before = sums[j + 1:]
                     c = rec(j + 1)
                     memo[key] = (c, *map(sub, sums[j + 1:], before))
@@ -606,14 +695,14 @@ def plan_count_and_sum(plan, k, interior=False):
                 if x == hi:
                     break
                 x += 1
-                for lst, r, a in ups:
-                    lst[r] -= a
+                key = key - step if steps is None else tuple(map(sub, key, steps))
+            if at:
+                for i, a in ups:
+                    res[i] += a * at
             if hits:
                 _, *columns = zip(*hits)
                 for i, column in enumerate(columns, j + 1):
                     sums[i] += sum(column)
-        for lst, r, a in ups:
-            lst[r] += a * x
         sums[j] += weighted
         return count
 
@@ -632,26 +721,27 @@ def plan_points(plan, k):
     at coordinate `plan.order[j]`, then the points are sorted.
     """
     n = plan.dim
-    divisors, res, updates = _scan_setup(plan, k)
+    tables = plan.tables
+    res = [c0 + ck * k for c0, ck in tables.rhs]
     order = plan.order
     point = [0] * n
 
     def rec(j):
-        lo, hi = _level_bounds(divisors[j], res[j])
+        lo, hi = _level_bounds(tables.bounds[j], res)
         at = order[j]
         if j == n - 1:
             for x in range(lo, hi + 1):
                 point[at] = x
                 yield tuple(point)
             return
-        ups = updates[j]
+        ups = tables.fanouts[j]
         for x in range(lo, hi + 1):
-            for lst, r, a in ups:
-                lst[r] -= a * x
+            for i, a in ups:
+                res[i] -= a * x
             point[at] = x
             yield from rec(j + 1)
-            for lst, r, a in ups:
-                lst[r] += a * x
+            for i, a in ups:
+                res[i] += a * x
 
     return sorted(rec(0))
 
@@ -727,15 +817,18 @@ def _nodes(plan, count):
 
 
 ROUTE_MARGIN = 8  # about twice the largest ratio at a measured crossover
-MEMO_ROUTE = 2048  # about twice the largest k^m at a crossover of a memoized plan
+MEMO_ROUTE = 2048  # over twice the largest k^m at a crossover of a non-reflexive memoized plan
+REFLEXIVE_ROUTE = 432  # twice the largest k^m at a crossover of a reflexive memoized plan
 
 
 def _from_polynomials(p, plan, k):
     """Whether kP is read off P's polynomials rather than scanned.
 
     The rule of the module docstring, for a lattice polytope P with n >= 4.
-    When the plan memoizes a level below n-2, m the first: k^m > MEMO_ROUTE.
-    Otherwise k^(n-2) > ROUTE_MARGIN * (sum of j^(n-2) over the samples
+    When the plan memoizes a level below n-2, m the first: k^m >
+    REFLEXIVE_ROUTE when the plan is reflexive, since its closed form
+    scans no interior, and k^m > MEMO_ROUTE otherwise.  Without such a
+    level, k^(n-2) > ROUTE_MARGIN * (sum of j^(n-2) over the samples
     j = 1..n+2), which implies k > n+2; the sum prices the samples the
     crossovers were measured with, not today's cheaper nodes.  A memo at
     level n-2 does not count: the scan still enters that level about
@@ -746,7 +839,7 @@ def _from_polynomials(p, plan, k):
         return False
     m = next((j for j, keys in enumerate(plan.memo_keys[: n - 2]) if keys is not None), None)
     if m is not None:
-        if k ** m <= MEMO_ROUTE:
+        if k ** m <= (REFLEXIVE_ROUTE if plan.reflexive else MEMO_ROUTE):
             return False
     elif k ** (n - 2) <= ROUTE_MARGIN * sum(j ** (n - 2) for j in range(1, n + 3)):
         return False
@@ -793,8 +886,9 @@ def count_lattice_points(p, k=1):
     A scan of kP, or, for a lattice polytope with n >= 4 and k past the
     rule, the value of P's Ehrhart polynomial.  Past the rule means k >= 27
     for n = 4, 19 for n = 5, 17 for n = 6, 16 for n = 7 and 8 when the plan
-    memoizes no level below n-2, and k^m > 2048 when it does, m the first
-    such level; the module docstring has the rule and the measured
+    memoizes no level below n-2, and when it does, m the first such level,
+    k^m > 432 on a reflexive plan (from k = 21 where m = 2) and k^m > 2048
+    on any other; the module docstring has the rule and the measured
     crossovers.
     """
     k = _dilation(k)

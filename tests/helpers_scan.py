@@ -1,13 +1,50 @@
-"""The per-leaf lattice scan, kept as a test oracle.
+"""The per-leaf lattice scan and the plan's memo keys, kept as test oracles.
 
-This is the scan that `latticecount.plan_count_and_sum` replaced: a
+The scan is the one that `latticecount.plan_count_and_sum` replaced: a
 recursion that calls itself once per prefix of the last level, closes that
 level by an arithmetic series, and adds every prefix coordinate times the
 leaf's count to the sums.  It shares no code with the kernel beyond the
 plan it reads, so the tests compare the two on bundled, random and
 hand-built plans.  Like the kernel, it returns the sums in P's
 coordinates: level j's sum is that of coordinate `plan.order[j]`.
+
+`memo_keys` derives a plan's memo keys as `EnumerationPlan` once did,
+with one `independent_rows` elimination per level, and `unmemoized`
+strips them from a plan, so that a memoized scan can be checked against
+the plain loop at dilations the per-leaf scan cannot reach.
 """
+
+from toricsym import latticecount
+from toricsym.latticecount import EnumerationPlan
+from toricsym.linalg import independent_rows
+
+
+def memo_keys(plan):
+    """Per level 1 <= j <= n-2, the (level, row) pairs of the first basis of
+    the prefix forms y_0..y_{j-1} of the rows at levels >= j, when those
+    forms have rank < j; None otherwise."""
+    n, levels = plan.dim, plan.levels
+    keys = [None] * n
+    for j in range(1, n - 1):
+        rows = [
+            (jj, r)
+            for jj in range(j, n)
+            for r, row in enumerate(levels[jj])
+            if any(row.coeffs[:j])
+        ]
+        basis = independent_rows([levels[jj][r].coeffs[:j] for jj, r in rows])
+        if len(basis) < j:
+            keys[j] = tuple(rows[i] for i in basis)
+    return tuple(keys)
+
+
+def unmemoized(plan):
+    """The plan with its memo keys stripped: every loop of its scans is plain."""
+    stripped = EnumerationPlan(plan.dim, plan.levels, order=plan.order)
+    keys = (None,) * plan.dim
+    object.__setattr__(stripped, "memo_keys", keys)
+    object.__setattr__(stripped, "tables", latticecount._scan_tables(plan.levels, keys))
+    return stripped
 
 
 def _scan_setup(plan, k):

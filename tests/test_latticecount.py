@@ -439,25 +439,30 @@ def poly_mul(a, b):
     return tuple(out)
 
 
-def test_product_multiplies_ehrhart_and_sums(p2_fan, dp3_fan, dp1_fan, fano52_fan):
+def test_product_multiplies_ehrhart_and_sums(p2_fan, dp3_fan, dp1_fan, dp2_fan, fano52_fan):
     # The points of k(P x Q) are pairs of points of kP and kQ, so
     # E_{PxQ} = E_P E_Q, and the sums over k(P x Q) are S_P E_Q on P's
-    # coordinates and S_Q E_P on Q's.
+    # coordinates and S_Q E_P on Q's.  Each case with its largest k.
     segment = polytope_from_vertices([(-1,), (2,)])
     triangle = polytope_from_vertices([(0, 0), (3, 1), (1, 2)])
+    p2, fano52 = polytope_from_fan(p2_fan), polytope_from_fan(fano52_fan)
     cases = [
-        (polytope_from_fan(p2_fan), polytope_from_fan(dp3_fan)),
-        (polytope_from_fan(dp1_fan), segment),
-        (triangle, triangle),
-        (polytope_from_fan(fano52_fan), segment),
+        (p2, polytope_from_fan(dp3_fan), 2),
+        (polytope_from_fan(dp1_fan), segment, 2),
+        (triangle, triangle, 2),
+        (fano52, segment, 2),
+        # Memoized, where hits dominate at larger k: level 2 of dp1 x dp2
+        # has the empty key, level 3 of p2 x fano3fold_5_2 a two-row key.
+        (polytope_from_fan(dp1_fan), polytope_from_fan(dp2_fan), 6),
+        (p2, fano52, 6),
     ]
-    for p, q in cases:
+    for p, q, k_max in cases:
         pq = polytope_from_vertices([u + v for u in p.vertices for v in q.vertices])
         e_p, e_q = ehrhart_polynomial(p), ehrhart_polynomial(q)
         assert ehrhart_polynomial(pq).coefficients == poly_mul(
             e_p.coefficients, e_q.coefficients
         )
-        for k in (1, 2):
+        for k in range(1, k_max + 1):
             (c_p, s_p), (c_q, s_q) = (plan_count_and_sum(build_plan(x), k) for x in (p, q))
             assert plan_count_and_sum(build_plan(pq), k) == (
                 c_p * c_q,

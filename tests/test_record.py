@@ -12,7 +12,13 @@ import pytest
 import toricsym
 from toricsym.datasets import load_bundled
 from toricsym.fan import Fan, polytope_from_fan
-from toricsym.latticecount import EnumerationPlan, build_plan, plan_for_polytope
+from toricsym.families import generate_futaki
+from toricsym.latticecount import (
+    EnumerationPlan,
+    build_plan,
+    plan_count_and_sum,
+    plan_for_polytope,
+)
 from toricsym.polytope import Polytope, polytope_from_vertices, vertices_from_inequalities
 from toricsym.record import Record
 
@@ -27,7 +33,7 @@ def test_every_value_class_is_a_record():
     assert sorted(RECORDS) == sorted([
         "BarycenterRationalFunction", "ChainReport", "ClassGroup", "DemazureReport",
         "EhrhartPolynomial", "EnumerationPlan", "Fan", "FanValidationReport", "HPolytope",
-        "LatticeAutGroup", "PlanRow", "Polytope", "RigidityVerdict", "RootData",
+        "LatticeAutGroup", "PlanRow", "Polytope", "RigidityVerdict", "RootData", "ScanTables",
         "SmithDecomposition", "StabilityReport", "SymmetryClassification", "VPolytope",
     ])
     # The records with their own __init__, each for a field that equality leaves out.
@@ -122,6 +128,23 @@ def test_plan_caches_are_left_out_of_equality():
         EnumerationPlan(dim=2)
     with pytest.raises(AttributeError):
         plan.scans = {}
+
+
+def test_plan_tables_are_derived_and_kept_through_pickling():
+    # The memo keys and the scan tables are read off the levels when a plan
+    # is made: an equal plan has equal ones, and neither enters equality,
+    # the hash or the repr.  Pickling keeps every slot.
+    plan = build_plan(polytope_from_fan(generate_futaki(2, 2)))
+    other = EnumerationPlan(plan.dim, plan.levels, order=plan.order)
+    assert any(rows is not None for rows in plan.memo_keys)
+    assert plan == other and hash(plan) == hash(other) and repr(plan) == repr(other)
+    assert (plan.memo_keys, plan.tables) == (other.memo_keys, other.tables)
+    plan.scans[2] = plan_count_and_sum(plan, 2)
+    for copied in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)):
+        assert copied == plan and hash(copied) == hash(plan) and repr(copied) == repr(plan)
+        assert copied.memo_keys == plan.memo_keys and copied.tables == plan.tables
+        assert copied.scans == plan.scans and copied.reflexive
+        assert plan_count_and_sum(copied, 3) == plan_count_and_sum(plan, 3)
 
 
 def test_fan_hull_is_left_out_of_equality():

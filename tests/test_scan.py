@@ -95,6 +95,45 @@ def test_memoized_levels():
     assert [len(plan_for_polytope(p2_f52).memo_keys[j]) for j in (2, 3)] == [1, 2]
 
 
+def test_memo_keys_match_the_elimination_per_level():
+    # The first basis found row by row, stopping at rank j, is the one
+    # that one `independent_rows` per level finds.
+    polytopes = [polytope_from_fan(load_bundled(name)) for name in BUNDLED]
+    polytopes += _random_lattice_polytopes(random.Random(20250801), 60)
+    polytopes += [
+        polytope_from_fan(generate_futaki(a, b)) for a in (1, 2, 3) for b in (1, 2, 3, 4)
+    ]
+    polytopes.append(polytope_from_fan(generate_futaki(1, 6)))
+    polytopes += [polytope_from_fan(Fan.from_rays(v_n_rays(n))) for n in (4, 6, 8)]
+    polytopes += [bundled_product(a, b) for a, b in (("dp1", "dp2"), ("p2", "fano3fold_5_2"))]
+    polytopes.append(polytope_from_vertices(list(product((0, 1), repeat=4))))
+    memoized = 0
+    for p in polytopes:
+        plan = build_plan(p)
+        assert plan.memo_keys == helpers_scan.memo_keys(plan)
+        memoized += any(rows is not None for rows in plan.memo_keys)
+    assert memoized >= 18
+
+
+def test_memoized_scan_matches_the_plain_loop():
+    # At these k most lookups hit, and the residuals below a memoized level
+    # move only on a miss, by however many steps of hits came before it:
+    # the scan must equal that of the same plan with its memo keys
+    # stripped, whose loops move the residuals at every step.  The
+    # per-leaf oracle does not reach these dilations.
+    cases = [
+        (polytope_from_fan(Fan.from_rays(v_n_rays(6))), 10),
+        (polytope_from_fan(generate_futaki(3, 3)), 6),
+        (bundled_product("p2", "fano3fold_5_2"), 6),
+    ]
+    for p, k in cases:
+        plan = build_plan(p)
+        plain = helpers_scan.unmemoized(plan)
+        assert any(rows is not None for rows in plan.memo_keys)
+        assert plain == plan and not any(rows is not None for rows in plain.memo_keys)
+        assert plan_count_and_sum(plan, k) == plan_count_and_sum(plain, k)
+
+
 def test_scan_skips_prefixes_where_an_upper_level_is_loose():
     # 0 <= x0 <= 2 and 0 <= x1 <= -2*x0.  Level 0 admits x0 = 1, 2, where
     # the last level's interval has width -1 and -3; only (0, 0) is a point.
@@ -499,8 +538,9 @@ def test_rational_polytope_scans_large_dilations(monkeypatch):
 
 def test_memoized_plans_scan_large_dilations(monkeypatch):
     # A memoized level below n-2 makes the scan far cheaper than k^(n-2)
-    # prefixes: such a plan, whose first memoized level is m = 2 here, is
-    # scanned at k alone while k^2 <= MEMO_ROUTE = 2048, up to k = 45.
+    # prefixes: such a plan, reflexive and first memoized at level m = 2
+    # here, is scanned at k alone while k^2 <= REFLEXIVE_ROUTE = 432, up
+    # to k = 20.
     v8 = polytope_from_fan(Fan.from_rays(v_n_rays(8)))
     futaki_2_2 = polytope_from_fan(generate_futaki(2, 2))
     calls = scanned_dilations(monkeypatch)
@@ -520,25 +560,30 @@ def test_memoized_plans_scan_large_dilations(monkeypatch):
     # holds, with its mirror -17, read off 16P, then 1, -2, 2, -3, of which
     # node -k is read off (k-1)P.  So P and 2P are scanned, not 3P.
     assert calls == Counter([12, 16, 16, 20, 1, 2])
-    quantized_barycenter(futaki_2_2, 45)
-    quantized_barycenter(futaki_2_2, 46)  # 46^2 > 2048: read off the closed form
-    assert calls == Counter([12, 16, 16, 20, 1, 2, 45])
+    quantized_barycenter(futaki_2_2, 21)  # 21^2 > 432: read off the closed form
+    assert calls == Counter([12, 16, 16, 20, 1, 2])
 
 
 def test_memoized_plans_past_the_rule_come_from_the_polynomials(monkeypatch):
-    # Past k^m = MEMO_ROUTE, with m the first memoized level, the closed
-    # form is read and matches the scan: V_6 and futaki(2,2) (m = 2) at
-    # k = 46, and the 4-cube, a product memoized from level 1, at 2049.
-    cube = polytope_from_vertices(list(product((0, 1), repeat=4)))
+    # Past k^m = REFLEXIVE_ROUTE on a reflexive plan and MEMO_ROUTE on any
+    # other, with m the first memoized level, the closed form is read and
+    # matches the scan: V_6 and futaki(2,2) (m = 2) at k = 21, fano3fold_5_2
+    # squared (m = 3) at 8 and the cube [-1, 1]^4 (m = 1) at 433, all
+    # reflexive, and the cube [0, 1]^4, which is not, at 2049.
     cases = [
-        (polytope_from_fan(Fan.from_rays(v_n_rays(6))), 2, 46),
-        (polytope_from_fan(generate_futaki(2, 2)), 2, 46),
-        (cube, 1, 2049),
+        (polytope_from_fan(Fan.from_rays(v_n_rays(6))), 2, 21),
+        (polytope_from_fan(generate_futaki(2, 2)), 2, 21),
+        (bundled_product("fano3fold_5_2", "fano3fold_5_2"), 3, 8),
+        (polytope_from_vertices(list(product((-1, 1), repeat=4))), 1, 433),
+        (polytope_from_vertices(list(product((0, 1), repeat=4))), 1, 2049),
     ]
     calls = scanned_dilations(monkeypatch)
     for p, m, k in cases:
         assert min(memoized_levels(p)) == m
-        assert k ** m > latticecount.MEMO_ROUTE >= (k - 1) ** m
+        reflexive = plan_for_polytope(p).reflexive
+        assert reflexive == (k != 2049)
+        bound = latticecount.REFLEXIVE_ROUTE if reflexive else latticecount.MEMO_ROUTE
+        assert k ** m > bound >= (k - 1) ** m
         count_lattice_points(p, k)
         quantized_barycenter(p, k)
         assert calls[k] == 0
