@@ -5,11 +5,17 @@ One coordinate-ring variable per ray, graded by the divisor class group
 into blocks; the reductive part is a product of GL(block size) factors,
 the unipotent radical has one parameter per unipotent root, and the
 component group is Aut P / Aut_0 P in the smooth Fano case.
+
+The grading is read off the root list: on a complete fan only 0 pairs
+>= 0 with every ray, so dim S_{deg x_v} = 1 + #{roots paired with v}
+(Demazure 1970; Cox, J. Algebraic Geom. 4, 1995).  The independent
+oracle, a Fourier-Motzkin count of each Q_v, is in `tests/test_demazure.py`.
 """
+
+from collections import Counter
 
 from .errors import InvariantViolation, ValidationError
 from .fan import is_complete, is_fano, is_simplicial, is_smooth, polytope_from_fan
-from .latticecount import enumerate_lattice_points
 from .linalg import dot, hermite_form, smith_normal_form, transpose
 from .record import Record
 from .symmetry import aut0_subgroup, polytope_automorphisms, roots
@@ -78,32 +84,26 @@ def variable_classes(f):
     return _classes(class_group(f))
 
 
-def graded_dimension(f, alpha, classes=None, points=None):
-    """dim S_alpha by lattice-point count of Q_v0 for a representative ray.
+def graded_dimension(f, alpha, classes=None):
+    """dim S_alpha = 1 + #roots paired with any ray v0 of the class.
 
-    Q_v0 = {m : <m, v0> >= -1, <m, v> >= 0 for v != v0}; its points are
-    the monomials of degree alpha, so the count is 1 + #roots paired to
-    the representative.  They are counted among the lattice points of the
-    anticanonical polytope P, which contains Q_v0, against Q_v0's own
-    inequalities, without reading the root list; `points` may pass them
-    in.  Independence of the representative is asserted.
+    The monomials of degree deg x_v0 are the lattice points of
+    Q_v0 = {m : <m, v0> >= -1, <m, v> >= 0 for v != v0}.  On a complete
+    fan only 0 pairs >= 0 with every ray, so the other points are the
+    roots paired with v0, and the count is exact.  Independence of the
+    representative is asserted; `graded_dimension_oracle` in
+    `tests/test_demazure.py` counts Q_v0 by its own inequalities.
     """
     if classes is None:
         classes = variable_classes(f)
     table = dict(classes)
     if alpha not in table:
         raise ValidationError("class contains no coordinate variable")
-    if points is None:
-        points = enumerate_lattice_points(polytope_from_fan(f))
-    counts = []
-    for v0_idx in table[alpha]:
-        counts.append(sum(
-            all(dot(m, v) >= (-1 if j == v0_idx else 0) for j, v in enumerate(f.rays))
-            for m in points
-        ))
-    if len(set(counts)) != 1:
+    paired = Counter(i for _, i in roots(f).roots)
+    counts = {1 + paired[i] for i in table[alpha]}
+    if len(counts) != 1:
         raise InvariantViolation("graded dimension depends on the representative")
-    return counts[0]
+    return counts.pop()
 
 
 def root_automorphism(f, m, root_data=None):
@@ -141,10 +141,11 @@ class DemazureReport(Record):
 
 
 def demazure_report(f):
-    """All structure data, with the two-route dimension identity asserted.
+    """All structure data, with the dimension identity asserted.
 
     dim Aut_0 X = sum |Delta_alpha| dim S_alpha - free rank of the class
-    group, which must equal n + #R(P).  Weyl and component group orders
+    group, which must equal n + #R(P): it holds exactly when the rays of
+    each class have equally many roots.  Weyl and component group orders
     are reported only for smooth Fano fans.
     """
     if not is_simplicial(f):
@@ -154,8 +155,7 @@ def demazure_report(f):
     cg = class_group(f)
     classes = _classes(cg)
     rd = roots(f)
-    points = enumerate_lattice_points(polytope_from_fan(f))
-    graded = tuple((a, graded_dimension(f, a, classes, points)) for a, _ in classes)
+    graded = tuple((a, graded_dimension(f, a, classes)) for a, _ in classes)
     sizes = tuple(sorted((len(members) for _, members in classes), reverse=True))
     if sum(sizes) != len(f.rays):
         raise InvariantViolation("class partition does not cover the rays")
@@ -168,18 +168,13 @@ def demazure_report(f):
         )
     # Lemma-level consistency: each root's monomial misses its own
     # variable and has the same degree as that variable.
+    free_cols = tuple(zip(*(free for free, _ in cg.degree_of)))
+    tors_cols = tuple(zip(*(tors for _, tors in cg.degree_of)))
     for m, _ in rd.roots:
         v0, exps = root_automorphism(f, m, rd)
-        free = [0] * cg.free_rank
-        tors = [0] * len(cg.torsion)
-        for i, e in enumerate(exps):
-            for j in range(cg.free_rank):
-                free[j] += e * cg.degree_of[i][0][j]
-            for j in range(len(cg.torsion)):
-                tors[j] += e * cg.degree_of[i][1][j]
-        deg_v0 = cg.degree_of[v0]
-        if tuple(free) != deg_v0[0] or any(
-            (t - d) % mod != 0 for t, d, mod in zip(tors, deg_v0[1], cg.torsion)
+        free_v0, tors_v0 = cg.degree_of[v0]
+        if tuple(dot(exps, col) for col in free_cols) != free_v0 or any(
+            (dot(exps, col) - t) % mod for col, t, mod in zip(tors_cols, tors_v0, cg.torsion)
         ):
             raise InvariantViolation("root monomial degree mismatch")
 

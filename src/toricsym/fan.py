@@ -15,7 +15,7 @@ from itertools import combinations
 from math import lcm
 
 from .errors import UnboundedPolytopeError, ValidationError
-from .linalg import det, dot, gcd_vector, kernel_basis, rank
+from .linalg import det, dot, gcd_vector, kernel_basis, rank, smith_normal_form
 from .polytope import (
     HPolytope,
     Polytope,
@@ -251,20 +251,17 @@ def is_simplicial(f):
 
 
 def is_smooth(f):
-    """Each cone's generators extend to a lattice basis."""
-    from .linalg import smith_normal_form
-
+    """Each cone's generators extend to a lattice basis; that implies full
+    rank, so a cone with more rays than the dimension is not smooth."""
     for cone in f.max_cones:
-        gens = [f.rays[i] for i in cone]
-        if rank(gens) != len(gens):
+        gens = tuple(f.rays[i] for i in cone)
+        if len(gens) > f.dim:
             return False
         if len(gens) == f.dim:
-            if det(tuple(gens)) not in (1, -1):
+            if det(gens) not in (1, -1):
                 return False
-        else:
-            diag = smith_normal_form(tuple(gens)).diagonal
-            if any(x != 1 for x in diag):
-                return False
+        elif any(x != 1 for x in smith_normal_form(gens).diagonal):
+            return False
     return True
 
 

@@ -150,11 +150,16 @@ def parse_polytope_file(path):
 
 
 def write_fan_file(path, fan, comment=None):
+    """Rays, and a `cones` section unless the fan is a face fan."""
     with open(path, "w", encoding="utf-8") as fh:
         if comment:
             for line in comment.splitlines():
                 fh.write(f"# {line}\n")
         fh.write(f"dim {fan.dim}\n")
-        fh.write(f"rays {len(fan.rays)}\n")
-        for r in fan.rays:
-            fh.write(" ".join(str(x) for x in r) + "\n")
+        sections = [("rays", fan.rays)]
+        if fan.hull is None:
+            sections.append(("cones", fan.max_cones))
+        for keyword, rows in sections:
+            fh.write(f"{keyword} {len(rows)}\n")
+            for row in rows:
+                fh.write(" ".join(str(x) for x in row) + "\n")

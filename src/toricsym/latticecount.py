@@ -138,10 +138,10 @@ from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import index, itemgetter, sub
+from operator import itemgetter, sub
 
 from .errors import InvariantViolation, NonLatticePolytopeError, ValidationError
-from .polytope import is_lattice_polytope
+from .polytope import _dilation, is_lattice_polytope
 from .record import Record
 
 
@@ -866,18 +866,6 @@ def _dilation_count_and_sum(p, k):
         raise InvariantViolation(f"Ehrhart polynomials are not integral at k = {k}")
     count, *sums = (v for v, _ in values)
     return count, tuple(sums)
-
-
-def _dilation(k):
-    """k as an int, for any integer type; a float, even 2.0, is refused.
-
-    A dilation keys the plan's scans and becomes an interpolation node, so
-    it must be an exact integer.
-    """
-    try:
-        return index(k)
-    except TypeError:
-        raise ValidationError(f"k must be an integer, not {k!r}") from None
 
 
 def count_lattice_points(p, k=1):

@@ -17,6 +17,7 @@ reads.  A float raises ValidationError, since 0.1 is not 1/10.
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import index
 
 from .errors import UnboundedPolytopeError, ValidationError
 from .linalg import (
@@ -323,8 +324,21 @@ def contains(p, x, strict=False):
     return all(dot(a, xv) <= rhs for a, rhs in p.inequalities)
 
 
+def _dilation(k):
+    """k as an int, for any integer type; a float, even 2.0, is refused.
+
+    A dilation keys the plan's scans and becomes an interpolation node, so
+    it must be an exact integer.
+    """
+    try:
+        return index(k)
+    except TypeError:
+        raise ValidationError(f"k must be an integer, not {k!r}") from None
+
+
 def dilate(p, k):
     """The dilation kP: vertices and right-hand sides scale by k."""
+    k = _dilation(k)
     if k <= 0:
         raise ValidationError("dilation factor must be a positive integer")
     return Polytope(

@@ -323,6 +323,18 @@ def test_dim7_automorphism_groups():
     assert (rep.weyl_order, rep.component_group_order) == (576, 2)
 
 
+def test_dim8_roots_and_structure_report():
+    # futaki(1,6), dimension 8, from cold caches: one pass over P's points
+    # for the roots, and the grading read off them.
+    fan = generate_futaki(1, 6)
+    _clear_caches()
+    with Budget("dim-8 roots and structure report", 0.4):
+        rd = roots(fan)
+        rep = demazure_report(fan)
+    assert rep.dim_aut0 == fan.dim + len(rd.roots)
+    assert (rep.weyl_order, rep.component_group_order) == (10080, 1)
+
+
 def test_dim7_analyze():
     # futaki(3,3) end to end, from cold caches.  Its scans memoize by
     # residual state; the volume, the Ehrhart polynomial and the chain's

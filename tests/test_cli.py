@@ -9,13 +9,15 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from test_demazure import hirzebruch, hirzebruch_times_p1
+
 from toricsym import report as rp
 from toricsym.cli import main
 from toricsym.datasets import BUNDLED, bundled_path, load_bundled, nill_paffenholz
 from toricsym.errors import ParseError, ValidationError
 from toricsym.families import generate_futaki
 from toricsym.fan import validate_fan
-from toricsym.fileio import parse_fan_file, parse_polytope_file
+from toricsym.fileio import parse_fan_file, parse_polytope_file, write_fan_file
 
 
 def path_of(name):
@@ -199,6 +201,22 @@ def test_cli_futaki_roundtrip(tmp_path, capsys):
     fan = parse_fan_file(str(out))
     assert fan.dim == 4 and len(fan.rays) == 7
     assert main(["verify-chain", str(out)]) == 0
+
+
+def test_write_fan_file_keeps_explicit_cones(tmp_path):
+    for fan in (hirzebruch(2), hirzebruch_times_p1(3)):
+        path = tmp_path / "cones.fan"
+        write_fan_file(str(path), fan)
+        assert parse_fan_file(str(path)) == fan
+
+
+def test_written_face_fan_has_rays_only(tmp_path):
+    out = tmp_path / "futaki_1_2.fan"
+    assert main(["futaki", "--n1", "1", "--n2", "2", "--out", str(out)]) == 0
+    assert out.read_text() == (
+        "# blow-up family member n1=1 n2=2\ndim 4\nrays 7\n1 0 0 0\n0 1 0 0\n"
+        "0 0 1 0\n0 0 0 1\n-1 -1 -1 -1\n0 -1 -1 -1\n0 1 1 1\n"
+    )
 
 
 def test_cli_futaki_permutation_symmetry(tmp_path, capsys):

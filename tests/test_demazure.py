@@ -1,6 +1,7 @@
 import pytest
 
 import helpers_linalg
+from helpers_groups import v_n_rays
 from toricsym import demazure
 from toricsym.datasets import BUNDLED, load_bundled
 from toricsym.errors import InvariantViolation, ValidationError
@@ -70,12 +71,47 @@ def test_roots_and_graded_dims_match_per_ray_oracle():
     fans += [generate_futaki(a, b) for a, b in ((1, 2), (2, 2), (1, 3), (2, 3))]
     fans.append(Fan.make(2, [(1, 0), (0, 1), (-1, -3)], [(0, 1), (1, 2), (0, 2)]))
     fans += [hirzebruch(a) for a in (2, 3, 4, 5)] + [hirzebruch_times_p1(3)]
+    fans += [generate_futaki(3, 3), Fan.from_rays(P2_MU3_RAYS)]
+    fans += [Fan.from_rays(v_n_rays(n)) for n in (4, 6)]
     for f in fans:
         assert roots(f) == roots_oracle(f), f.rays
-        reported = dict(demazure_report(f).graded_dims)  # P's points passed in
+        reported = dict(demazure_report(f).graded_dims)
         for alpha, members in variable_classes(f):
             assert graded_dimension_oracle(f, members) == {graded_dimension(f, alpha)}
             assert reported[alpha] == graded_dimension(f, alpha)
+
+
+def test_both_grading_checks_raise(monkeypatch, p1xp1_fan):
+    # The grading is read off the root list, so a root list that is not
+    # equinumerous on a class raises, and so does a grading that disagrees
+    # with the roots in the dimension identity.
+    rd = roots(p1xp1_fan)
+    dropped = RootData(
+        roots=rd.roots[1:],
+        semisimple=tuple(r for r in rd.semisimple if r != rd.roots[0]),
+        unipotent=rd.unipotent,
+    )
+    with monkeypatch.context() as m:
+        m.setattr(demazure, "roots", lambda f: dropped)
+        with pytest.raises(InvariantViolation, match="representative"):
+            demazure_report(p1xp1_fan)
+    real = demazure.graded_dimension
+    monkeypatch.setattr(demazure, "graded_dimension", lambda f, a, c=None: real(f, a, c) + 1)
+    with pytest.raises(InvariantViolation, match="dimension identity"):
+        demazure_report(p1xp1_fan)
+
+
+def test_root_degree_check_raises(monkeypatch, p2_fan):
+    # A root monomial whose degree is not that of its variable raises.
+    real = demazure.root_automorphism
+
+    def heavier(f, m, root_data=None):
+        v0, exps = real(f, m, root_data)
+        return v0, tuple(e + (i == (v0 + 1) % 3) for i, e in enumerate(exps))
+
+    monkeypatch.setattr(demazure, "root_automorphism", heavier)
+    with pytest.raises(InvariantViolation, match="degree mismatch"):
+        demazure_report(p2_fan)
 
 
 def test_hirzebruch_aut0_dimension():

@@ -78,6 +78,17 @@ def test_simplicial_and_smooth(p2_fan, w112_fan):
     assert not is_simplicial(nonsimp)
 
 
+def test_is_smooth_without_a_rank_test():
+    # Non-simplicial face fan: more rays in a cone than the dimension.
+    cube = Fan.from_rays([(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)])
+    assert not is_simplicial(cube) and not is_smooth(cube)
+    # Lower-dimensional cones: the Smith diagonal decides.
+    assert not is_smooth(Fan.make(3, [(1, 0, 0), (1, 2, 0)], [(0, 1)]))
+    assert is_smooth(Fan.make(3, [(1, 0, 0), (0, 1, 0)], [(0, 1)]))
+    # Two rays of rank 1 in the plane: det 0.
+    assert not is_smooth(Fan.make(2, [(1, 0), (-1, 0)], [(0, 1)]))
+
+
 def test_polytope_from_fan_p2(p2_fan):
     p = polytope_from_fan(p2_fan)
     assert set(p.vertices) == {

@@ -180,6 +180,11 @@ def test_dilate():
     assert vset(dilate(p2, 3)) == {fv(-3, 6), fv(-3, -3), fv(6, -3)}
     with pytest.raises(ValidationError):
         dilate(p, 0)
+    # Exact integers only: 2.0 would make float right-hand sides, and 1/2
+    # is not a dilation by a positive integer.
+    for k in (2.0, Fraction(1, 2)):
+        with pytest.raises(ValidationError):
+            dilate(p, k)
 
 
 def test_dilate_volume_scales():
